@@ -1,4 +1,4 @@
-// Ablation A1 (DESIGN.md): the §VI-B counter-migration design choice.
+// Ablation: the §VI-B counter-migration design choice (README "Paper map").
 //
 //   "One approach to migrate a counter is ... have the latter create a
 //    new counter and increment it until the counter value reaches the

@@ -1,4 +1,4 @@
-// Ablation A2 (DESIGN.md): the §VI-B sealing design choice.
+// Ablation: the §VI-B sealing design choice (README "Paper map").
 //
 //   "Without re-encryption, the process of migrating the sealed data is
 //    constant-time for transferring the key and then linear for

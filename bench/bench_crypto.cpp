@@ -1,4 +1,4 @@
-// Supporting microbenchmarks (M1 in DESIGN.md): REAL-time throughput of
+// Supporting microbenchmarks: REAL-time throughput of
 // the from-scratch crypto primitives, measured with google-benchmark.
 // These numbers ground the cost-model constants (e.g. aes_gcm_ns_per_byte)
 // and document what the simulation's crypto actually costs on the host.

@@ -1,5 +1,5 @@
-// Datacenter-scale orchestrator bench (ISSUE 10): drives the event-driven
-// wave driver up a (machines x enclaves) curve to 1000 machines / 10,000
+// Datacenter-scale orchestrator bench: drives the orchestrator's wave
+// driver up a (machines x enclaves) curve to 1000 machines / 10,000
 // enclaves — a 10-region evacuation placed by the hierarchical indexed
 // policy — recording virtual wall time, REAL orchestrator CPU seconds,
 // and deterministic control-plane memory per row.
@@ -9,13 +9,15 @@
 //     grow at most 15x over the 10x enclave growth from 1k to 10k;
 //   * flat memory: control-plane bytes per enclave at 10k within 2x of
 //     the 1k row (event-log ring + ME history caps bound the rest);
-//   * driver equivalence: the event-driven driver reproduces the legacy
-//     full-scan driver's OrchestratorReport JSON (events included)
-//     bit-for-bit on the 32-enclave BENCH_fleet_drain configurations
-//     (pipelined full-snapshot, pipelined pre-copy, ME-restart);
+//   * golden reports: the wave driver reproduces the committed goldens
+//     (tests/golden/: OrchestratorReport JSON with events, virtual wall
+//     in ns, DriverStats) byte for byte on the 32-enclave
+//     BENCH_fleet_drain configurations (pipelined full-snapshot,
+//     pipelined pre-copy, ME-restart); a mismatch writes the actual file
+//     into the build directory and prints both paths;
 //   * a traced rerun of the 1k row reproduces its untraced wall
 //     bit-exactly and emits TRACE_fleet_scale.json for trace_check.py;
-//   * one mixed-profile chaos storm over a 1000-enclave event-driven
+//   * one mixed-profile chaos storm over a 1000-enclave pipelined
 //     drain converges with zero forks and zero oracle findings.
 //
 // Usage: bench_fleet_scale            (SGXMIG_SEED=<n> overrides the base
@@ -31,6 +33,7 @@
 #include "chaos/chaos_executor.h"
 #include "chaos/chaos_plan.h"
 #include "chaos/oracles.h"
+#include "fleet_drain_golden.h"
 #include "migration/migration_enclave.h"
 #include "orchestrator/orchestrator.h"
 
@@ -45,7 +48,6 @@ using orchestrator::OrchestratorOptions;
 using orchestrator::OrchestratorReport;
 using orchestrator::Plan;
 using orchestrator::Scheduler;
-using orchestrator::TransferMode;
 
 constexpr int kRegions = 10;
 
@@ -155,83 +157,7 @@ ScaleResult evacuate(int machines, int enclaves, bool traced = false,
   return result;
 }
 
-// ----- driver equivalence on the BENCH_fleet_drain configurations -----
-
-enum class DrainConfig { kPipelined, kPrecopy, kMeRestart };
-
-const char* drain_config_name(DrainConfig config) {
-  switch (config) {
-    case DrainConfig::kPipelined: return "pipelined-full-snapshot";
-    case DrainConfig::kPrecopy: return "pipelined-precopy";
-    case DrainConfig::kMeRestart: return "me-restart";
-  }
-  return "?";
-}
-
-/// Replays one 32-enclave BENCH_fleet_drain configuration — same world
-/// seed formula, same fleet, same options — under the requested driver
-/// and returns the full report JSON (events included) plus the wall.
-std::pair<std::string, Duration> drain_report(DrainConfig config,
-                                              bool legacy_driver,
-                                              DriverStats* stats_out) {
-  const int enclaves = 32;
-  const TransferMode mode = config == DrainConfig::kPrecopy
-                                ? TransferMode::kPrecopy
-                                : TransferMode::kFullSnapshot;
-  const int fault = config == DrainConfig::kMeRestart ? 2 : 0;
-  platform::World world(9100 + enclaves + fault * 7 +
-                        static_cast<int>(mode) * 31 + 101);
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < 5; ++i) world.add_machine("m" + std::to_string(i));
-  if (mode == TransferMode::kPrecopy) {
-    for (platform::Machine* m : world.machines()) {
-      if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
-    }
-  }
-
-  FleetRegistry fleet(world);
-  LaunchOptions launch;
-  launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (int i = 0; i < enclaves; ++i) {
-    const std::string name = "drain-app-" + std::to_string(i);
-    const auto image = sgx::EnclaveImage::create(name, 1, "bench");
-    const uint64_t id = fleet.launch("m0", name, image, launch).value();
-    auto* enclave = fleet.enclave(id);
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
-
-  Scheduler scheduler(fleet);  // least-loaded (indexed either way)
-  OrchestratorOptions options;
-  options.max_inflight_per_machine = 4;
-  options.max_inflight_total = 8;
-  options.max_attempts = 6;
-  options.transfer_mode = mode;
-  options.pipelined = true;
-  options.legacy_wave_loop = legacy_driver;
-  Orchestrator orch(fleet, scheduler, options);
-  size_t completions = 0;
-  if (config == DrainConfig::kMeRestart) {
-    fleet.set_completion_callback(
-        [&world, &completions](const orchestrator::EnclaveRecord&) {
-          if (++completions == 2) world.machine("m0")->kill_management_enclave();
-        });
-    orch.set_wave_hook([&world, waves_down = 0u](uint32_t) mutable {
-      if (world.machine("m0")->has_management_enclave()) return;
-      if (++waves_down >= 3) world.machine("m0")->restart_management_enclave();
-    });
-  }
-
-  const Duration t0 = world.clock().now();
-  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
-  const Duration wall = world.clock().now() - t0;
-  if (stats_out != nullptr) *stats_out = orch.last_driver_stats();
-  return {report.to_json(/*include_events=*/true), wall};
-}
-
-// ----- chaos storm over a 1000-enclave event-driven drain -----
+// ----- chaos storm over a 1000-enclave pipelined drain -----
 
 struct StormResult {
   OrchestratorReport report;
@@ -328,7 +254,7 @@ bool write_text_file(const char* path, const std::string& body) {
 
 void run() {
   std::printf("\n================================================================\n");
-  std::printf("Fleet scale — event-driven orchestrator at datacenter scale\n");
+  std::printf("Fleet scale — orchestrator at datacenter scale\n");
   std::printf("(10-region evacuation, hierarchical indexed placement, seed "
               "base %llu)\n",
               static_cast<unsigned long long>(base_seed()));
@@ -336,36 +262,28 @@ void run() {
 
   bench::JsonBench json("fleet_scale");
 
-  // --- driver equivalence first: cheap, and everything below trusts it.
-  std::printf("\ndriver equivalence on BENCH_fleet_drain 32-enclave rows:\n");
-  DriverStats legacy_stats, event_stats;
-  for (const DrainConfig config :
-       {DrainConfig::kPipelined, DrainConfig::kPrecopy,
-        DrainConfig::kMeRestart}) {
-    const auto legacy = drain_report(config, /*legacy_driver=*/true,
-                                     &legacy_stats);
-    const auto event = drain_report(config, /*legacy_driver=*/false,
-                                    &event_stats);
-    const bool identical =
-        legacy.first == event.first && legacy.second == event.second;
-    std::printf("  %-24s report %s, wall %.6fs; task touches %llu (legacy) "
-                "-> %llu (event)\n",
-                drain_config_name(config),
-                identical ? "IDENTICAL" : "DIVERGED",
-                to_seconds(event.second),
-                static_cast<unsigned long long>(legacy_stats.task_touches),
-                static_cast<unsigned long long>(event_stats.task_touches));
+  // --- golden reports first: cheap, and everything below trusts them.
+  std::printf("\ngolden reports on BENCH_fleet_drain 32-enclave rows:\n");
+  for (const golden::DrainConfig config : golden::kDrainConfigs) {
+    const golden::DrainRun run = golden::run_drain(config);
+    const bool matches = golden::matches_golden(
+        config, golden::golden_text(config, run));
+    std::printf("  %-24s %s, wall %.6fs; waves %llu, task touches %llu, "
+                "pump kicks %llu\n",
+                golden::drain_config_name(config),
+                matches ? "MATCHES GOLDEN" : "DIVERGED", to_seconds(run.wall),
+                static_cast<unsigned long long>(run.stats.waves),
+                static_cast<unsigned long long>(run.stats.task_touches),
+                static_cast<unsigned long long>(run.stats.pump_kicks));
     json.begin_row()
-        .field("equivalence", std::string(drain_config_name(config)))
-        .field("identical", static_cast<uint64_t>(identical ? 1 : 0))
-        .field("wall_seconds", to_seconds(event.second))
-        .field("legacy_task_touches", legacy_stats.task_touches)
-        .field("event_task_touches", event_stats.task_touches)
-        .field("legacy_waves", legacy_stats.waves)
-        .field("event_waves", event_stats.waves);
-    if (!identical) {
-      fail_gate("event-driven driver diverged from the legacy wave loop");
-    }
+        .field("golden", std::string(golden::drain_config_name(config)))
+        .field("matches", static_cast<uint64_t>(matches ? 1 : 0))
+        .field("wall_seconds", to_seconds(run.wall))
+        .field("waves", run.stats.waves)
+        .field("task_touches", run.stats.task_touches)
+        .field("admission_checks", run.stats.admission_checks)
+        .field("pump_kicks", run.stats.pump_kicks);
+    if (!matches) fail_gate("wave driver diverged from its golden report");
   }
 
   // --- the scaling curve.
@@ -475,7 +393,7 @@ void run() {
     std::exit(1);
   }
 
-  // --- chaos storm over a 1000-enclave event-driven drain.
+  // --- chaos storm over a 1000-enclave pipelined drain.
   const uint64_t storm_seed = 404;
   const StormResult storm = storm_1k(storm_seed);
   std::printf("\nchaos storm (seed %llu, mixed profile, 1000 enclaves): "
@@ -502,18 +420,17 @@ void run() {
       std::printf("ORACLE VIOLATION [%s]: %s\n", finding.check.c_str(),
                   finding.detail.c_str());
     }
-    fail_gate("chaos storm over the 1k event-driven drain violated an "
+    fail_gate("chaos storm over the 1k pipelined drain violated an "
               "oracle");
   }
 
   std::printf(
       "\nexpected shape: wall, CPU and task touches grow ~linearly in the\n"
-      "enclave count (the event-driven driver only touches tasks whose\n"
-      "lane produced an event or whose retry ripened; idle enclaves cost\n"
-      "zero wave work), control-plane bytes per enclave stay flat (the\n"
-      "event-log ring and ME history caps bound retention), and the\n"
-      "equivalence rows prove the driver swap changed WHICH work each\n"
-      "wave visits, never its outcome.\n");
+      "enclave count (the wave driver only touches tasks whose phase\n"
+      "needs work or whose retry ripened; idle enclaves cost zero wave\n"
+      "work), control-plane bytes per enclave stay flat (the event-log\n"
+      "ring and ME history caps bound retention), and the golden rows pin\n"
+      "the driver's outcome and work counts byte for byte.\n");
   if (!json.write_file("BENCH_fleet_scale.json")) {
     std::printf("FAILED to write BENCH_fleet_scale.json\n");
     std::exit(1);

@@ -45,7 +45,8 @@ Ge ge_add(const Ge& p, const Ge& q) {
 
 Ge ge_neg(const Ge& p) { return Ge{fe_neg(p.x), p.y, p.z, fe_neg(p.t)}; }
 
-// Variable-time double-and-add; acceptable in the simulator (DESIGN.md).
+// Variable-time double-and-add; acceptable in the simulator (host timing
+// side channels are out of its threat model, see fe25519.h).
 Ge ge_scalarmult(const Ge& p, const uint8_t scalar[32]) {
   Ge r = ge_identity();
   for (int i = 255; i >= 0; --i) {

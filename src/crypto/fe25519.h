@@ -4,7 +4,8 @@
 // Shared by X25519 (Montgomery ladder) and Ed25519 (Edwards curve).
 // Exponentiation is square-and-multiply over public exponents; this is a
 // simulator, not a hardened production signer, and timing side channels of
-// the host are out of the simulated threat model (see DESIGN.md).
+// the host are out of the simulated threat model: every party shares one
+// process on simulated hardware, so there is no co-resident timer.
 #pragma once
 
 #include <array>

@@ -14,12 +14,10 @@ constexpr char kPrecopyFinMarker[] = "SGXMIG-PC-FIN";
 constexpr char kReconcileMarker[] = "SGXMIG-RECON";
 constexpr char kAbortMarker[] = "SGXMIG-ABORT";
 constexpr char kQueueAad[] = "SGXMIG-ME-QUEUE";
-constexpr char kQueueMagicV1[] = "SGXMIG-ME-QUEUE-v1";
-constexpr char kQueueMagicV2[] = "SGXMIG-ME-QUEUE-v2";  // v1 + pre-copy state
-// v2 + pipelined TransferTasks, inbound peer addresses, staging ages.
-constexpr char kQueueMagicV3[] = "SGXMIG-ME-QUEUE-v3";
-// v3 + per-task armed flags and the cached ME<->ME resume sessions.
-constexpr char kQueueMagicV4[] = "SGXMIG-ME-QUEUE-v4";
+// The one durable queue format: retained transfers, pre-copy state,
+// pipelined TransferTasks with their armed flags, and the cached ME<->ME
+// resume sessions.
+constexpr char kQueueMagic[] = "SGXMIG-ME-QUEUE-v4";
 // Confirmed-transfer history bound: enough to absorb duplicate DONEs from
 // any realistic relay-retry window without growing with fleet lifetime.
 constexpr size_t kCompletedHistoryLimit = 4096;
@@ -944,26 +942,53 @@ Status MigrationEnclave::run_outgoing(sgx::Measurement source_mr,
 
 LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
                                             const LibMsg& msg) {
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
   auto request = MigrateRequestPayload::deserialize(msg.payload);
   if (!request.ok()) {
+    LibMsg reply;
+    reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
     return reply;
   }
-  const uint64_t nonce = request.value().request_nonce;
-  if (nonce == 0 ||
-      request.value().destination_address == platform().address()) {
+  return queue_transfer(session, std::move(request).value(), /*armed=*/true);
+}
+
+LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
+                                            const LibMsg& msg) {
+  // Enqueue-without-freeze: the library reserves a transfer slot while the
+  // enclave keeps running.  The task attests ahead of time and then parks
+  // at kAwaitArm; the poll reports kSlotLive and only then does the
+  // library freeze, collect, and arm the payload.
+  auto parsed = MigrateReservePayload::deserialize(msg.payload);
+  if (!parsed.ok()) {
+    LibMsg reply;
+    reply.type = LibMsgType::kError;
+    reply.status = Status::kTampered;
+    return reply;
+  }
+  MigrateRequestPayload request;
+  request.destination_address = parsed.value().destination_address;
+  request.request_nonce = parsed.value().request_nonce;
+  request.policy = parsed.value().policy;
+  return queue_transfer(session, std::move(request), /*armed=*/false);
+}
+
+LibMsg MigrationEnclave::queue_transfer(LaSessionState& session,
+                                        MigrateRequestPayload request,
+                                        bool armed) {
+  LibMsg reply;
+  reply.type = LibMsgType::kError;
+  const uint64_t nonce = request.request_nonce;
+  if (nonce == 0 || request.destination_address == platform().address()) {
     // The pipeline is built on nonce-scoped exactly-once semantics;
     // legacy nonce-less callers must use the blocking path.
     reply.status = Status::kInvalidParameter;
     return reply;
   }
   const sgx::Measurement& mr = session.peer.mr_enclave;
-  // Already retained/completed (re-sent enqueue after a lost reply):
+  // Already retained/completed (re-sent request after a lost reply):
   // idempotent queue — the poll will observe kAccepted.
   const Status dedup =
-      dedup_against_queue(mr, nonce, request.value().destination_address);
+      dedup_against_queue(mr, nonce, request.destination_address);
   if (dedup != Status::kNoPendingMigration) {
     reply.type = dedup == Status::kOk ? LibMsgType::kMigrateQueued
                                       : LibMsgType::kError;
@@ -977,7 +1002,7 @@ LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
       return reply;
     }
     if (existing->second.request.destination_address !=
-        request.value().destination_address) {
+        request.destination_address) {
       // One nonce binds one (attempt, destination): the library draws a
       // fresh nonce on every re-route, so a destination mismatch is a
       // broken client.  Honoring it would also desync the durable task
@@ -1003,80 +1028,12 @@ LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
   }
   TransferTask task;
   task.source_mr = mr;
-  task.request = std::move(request).value();
+  task.armed = armed;
+  task.request = std::move(request);
   transfer_tasks_[nonce] = std::move(task);
   // Durable BEFORE the queued ack: a restarted ME must resume this
   // pipeline — the library holds no copy of the conversation, only the
   // right to poll its fate.
-  const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    transfer_tasks_.erase(nonce);
-    reply.status = persisted;
-    return reply;
-  }
-  kick_task(nonce);
-  reply.type = LibMsgType::kMigrateQueued;
-  reply.status = Status::kOk;
-  return reply;
-}
-
-LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
-                                            const LibMsg& msg) {
-  // Enqueue-without-freeze: the library reserves a transfer slot while the
-  // enclave keeps running.  The task attests ahead of time and then parks
-  // at kAwaitArm; the poll reports kSlotLive and only then does the
-  // library freeze, collect, and arm the payload.
-  LibMsg reply;
-  reply.type = LibMsgType::kError;
-  auto parsed = MigrateReservePayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
-  const uint64_t nonce = parsed.value().request_nonce;
-  if (nonce == 0 ||
-      parsed.value().destination_address == platform().address()) {
-    reply.status = Status::kInvalidParameter;
-    return reply;
-  }
-  const sgx::Measurement& mr = session.peer.mr_enclave;
-  const Status dedup =
-      dedup_against_queue(mr, nonce, parsed.value().destination_address);
-  if (dedup != Status::kNoPendingMigration) {
-    reply.type = dedup == Status::kOk ? LibMsgType::kMigrateQueued
-                                      : LibMsgType::kError;
-    reply.status = dedup;
-    return reply;
-  }
-  const auto existing = transfer_tasks_.find(nonce);
-  if (existing != transfer_tasks_.end()) {
-    if (!(existing->second.source_mr == mr)) {
-      reply.status = Status::kAlreadyExists;  // foreign nonce collision
-      return reply;
-    }
-    if (existing->second.request.destination_address !=
-        parsed.value().destination_address) {
-      reply.status = Status::kInvalidParameter;
-      return reply;
-    }
-    if (existing->second.step == TransferTask::Step::kFailed) {
-      existing->second.step = TransferTask::Step::kQueued;
-      existing->second.failure = Status::kOk;
-      existing->second.ra.reset();
-      existing->second.channel.reset();
-      kick_task(nonce);
-    }
-    reply.type = LibMsgType::kMigrateQueued;
-    reply.status = Status::kOk;
-    return reply;
-  }
-  TransferTask task;
-  task.source_mr = mr;
-  task.armed = false;
-  task.request.destination_address = parsed.value().destination_address;
-  task.request.request_nonce = nonce;
-  task.request.policy = parsed.value().policy;
-  transfer_tasks_[nonce] = std::move(task);
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) {
     transfer_tasks_.erase(nonce);
@@ -2966,7 +2923,7 @@ Result<std::map<uint32_t, CounterChunk>> deserialize_chunk_map(
 
 Bytes MigrationEnclave::serialize_queue() const {
   BinaryWriter w;
-  w.str(kQueueMagicV4);
+  w.str(kQueueMagic);
   w.u64(next_outgoing_sequence_);
 
   w.u32(static_cast<uint32_t>(outgoing_.size()));
@@ -3007,7 +2964,7 @@ Bytes MigrationEnclave::serialize_queue() const {
     if (!in.authenticated || !in.channel.has_value()) continue;
     w.u64(id);
     w.str(in.source_region);
-    w.str(in.source_address);  // v3: authorizes source-scoped aborts
+    w.str(in.source_address);  // authorizes source-scoped aborts
     Bytes channel_state = in.channel->serialize_state();
     w.bytes(channel_state);
     secure_wipe(channel_state);  // contains the raw session key
@@ -3042,7 +2999,7 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.bytes(relay.sealed_record);
   }
 
-  // ----- v2: live pre-copy state -----
+  // ----- live pre-copy state -----
   // Source attempts (merged chunk sets + RA channels) and destination
   // staging: an ME restart between rounds RESUMES the pre-copy instead of
   // throwing away every round already shipped.
@@ -3070,10 +3027,10 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(s.request_nonce);
     w.u32(s.rounds);
     serialize_chunk_map(w, s.chunks);
-    w.u64(static_cast<uint64_t>(s.last_update.count()));  // v3: sweep age
+    w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
   }
 
-  // ----- v3: pipelined TransferTasks -----
+  // ----- pipelined TransferTasks -----
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
   // every pipeline from the attest step under a fresh transfer id.
@@ -3082,10 +3039,10 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(nonce);
     w.fixed(t.source_mr);
     w.bytes(t.request.serialize());
-    w.boolean(t.armed);  // v4: unarmed reservations re-park at kAwaitArm
+    w.boolean(t.armed);  // unarmed reservations re-park at kAwaitArm
   }
 
-  // ----- v4: cached ME<->ME attestation sessions -----
+  // ----- cached ME<->ME attestation sessions -----
   // Master keys ride the sealed snapshot like channel keys do; losing an
   // entry only costs one full handshake.  Acceptor-side state is
   // deliberately NOT persisted (a restarted responder must force the full
@@ -3103,11 +3060,7 @@ Bytes MigrationEnclave::serialize_queue() const {
 
 Status MigrationEnclave::apply_queue(ByteView plaintext) {
   BinaryReader r(plaintext);
-  const std::string magic = r.str(64);
-  const bool v4 = magic == kQueueMagicV4;
-  const bool v3 = v4 || magic == kQueueMagicV3;
-  const bool v2 = v3 || magic == kQueueMagicV2;
-  if (!v2 && magic != kQueueMagicV1) return Status::kTampered;
+  if (r.str(64) != kQueueMagic) return Status::kTampered;
   const uint64_t next_sequence = r.u64();
 
   std::map<uint64_t, OutgoingTransfer> outgoing;
@@ -3151,7 +3104,7 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     InboundTransfer in;
     in.authenticated = true;
     in.source_region = r.str(256);
-    if (v3) in.source_address = r.str(256);
+    in.source_address = r.str(256);
     Bytes channel_state = r.bytes(64);
     auto channel = net::SecureChannel::deserialize_state(channel_state);
     secure_wipe(channel_state);
@@ -3206,74 +3159,68 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
 
   std::map<uint64_t, PrecopyOutgoing> precopy_outgoing;
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging;
-  if (v2) {
-    const uint32_t precopy_count = r.u32();
-    for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
-      const uint64_t nonce = r.u64();
-      PrecopyOutgoing p;
-      p.source_mr = r.fixed<32>();
-      p.destination_address = r.str(256);
-      p.transfer_id = r.u64();
-      p.rounds = r.u32();
-      p.resync = r.boolean();
-      auto merged = deserialize_chunk_map(r);
-      if (!merged.ok()) return Status::kTampered;
-      p.merged = std::move(merged).value();
-      if (r.boolean()) {
-        Bytes channel_state = r.bytes(64);
-        auto channel = net::SecureChannel::deserialize_state(channel_state);
-        secure_wipe(channel_state);
-        if (!channel.ok()) return Status::kTampered;
-        p.channel.emplace(std::move(channel).value());
-      }
-      precopy_outgoing[nonce] = std::move(p);
+  const uint32_t precopy_count = r.u32();
+  for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
+    const uint64_t nonce = r.u64();
+    PrecopyOutgoing p;
+    p.source_mr = r.fixed<32>();
+    p.destination_address = r.str(256);
+    p.transfer_id = r.u64();
+    p.rounds = r.u32();
+    p.resync = r.boolean();
+    auto merged = deserialize_chunk_map(r);
+    if (!merged.ok()) return Status::kTampered;
+    p.merged = std::move(merged).value();
+    if (r.boolean()) {
+      Bytes channel_state = r.bytes(64);
+      auto channel = net::SecureChannel::deserialize_state(channel_state);
+      secure_wipe(channel_state);
+      if (!channel.ok()) return Status::kTampered;
+      p.channel.emplace(std::move(channel).value());
     }
-    const uint32_t staging_count = r.u32();
-    for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
-      const sgx::Measurement mr = r.fixed<32>();
-      PrecopyStaging s;
-      s.transfer_id = r.u64();
-      s.source_me_address = r.str(256);
-      s.request_nonce = r.u64();
-      s.rounds = r.u32();
-      auto chunks = deserialize_chunk_map(r);
-      if (!chunks.ok()) return Status::kTampered;
-      s.chunks = std::move(chunks).value();
-      if (v3) s.last_update = Duration(static_cast<int64_t>(r.u64()));
-      precopy_staging[mr] = std::move(s);
-    }
+    precopy_outgoing[nonce] = std::move(p);
+  }
+  const uint32_t staging_count = r.u32();
+  for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
+    const sgx::Measurement mr = r.fixed<32>();
+    PrecopyStaging s;
+    s.transfer_id = r.u64();
+    s.source_me_address = r.str(256);
+    s.request_nonce = r.u64();
+    s.rounds = r.u32();
+    auto chunks = deserialize_chunk_map(r);
+    if (!chunks.ok()) return Status::kTampered;
+    s.chunks = std::move(chunks).value();
+    s.last_update = Duration(static_cast<int64_t>(r.u64()));
+    precopy_staging[mr] = std::move(s);
   }
 
   std::map<uint64_t, TransferTask> transfer_tasks;
-  if (v3) {
-    const uint32_t task_count = r.u32();
-    for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
-      const uint64_t nonce = r.u64();
-      TransferTask t;
-      t.source_mr = r.fixed<32>();
-      auto request = MigrateRequestPayload::deserialize(r.bytes(1u << 21));
-      if (!request.ok()) return Status::kTampered;
-      t.request = std::move(request).value();
-      if (v4) t.armed = r.boolean();
-      // Step collapses to kQueued: the next pump() re-attests and
-      // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
-      // keeps the end-to-end result exactly-once.
-      transfer_tasks[nonce] = std::move(t);
-    }
+  const uint32_t task_count = r.u32();
+  for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
+    const uint64_t nonce = r.u64();
+    TransferTask t;
+    t.source_mr = r.fixed<32>();
+    auto request = MigrateRequestPayload::deserialize(r.bytes(1u << 21));
+    if (!request.ok()) return Status::kTampered;
+    t.request = std::move(request).value();
+    t.armed = r.boolean();
+    // Step collapses to kQueued: the next pump() re-attests and
+    // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
+    // keeps the end-to-end result exactly-once.
+    transfer_tasks[nonce] = std::move(t);
   }
 
   std::map<std::string, PeerSession> peer_sessions;
-  if (v4) {
-    const uint32_t session_count = r.u32();
-    for (uint32_t i = 0; i < session_count && r.ok(); ++i) {
-      const std::string address = r.str(256);
-      PeerSession s;
-      s.master_key = r.fixed<16>();
-      s.peer_epoch = r.u64();
-      s.credential = platform::MachineCredential::deserialize(r);
-      s.region = r.str(256);
-      peer_sessions[address] = std::move(s);
-    }
+  const uint32_t session_count = r.u32();
+  for (uint32_t i = 0; i < session_count && r.ok(); ++i) {
+    const std::string address = r.str(256);
+    PeerSession s;
+    s.master_key = r.fixed<16>();
+    s.peer_epoch = r.u64();
+    s.credential = platform::MachineCredential::deserialize(r);
+    s.region = r.str(256);
+    peer_sessions[address] = std::move(s);
   }
 
   if (!r.done()) return Status::kTampered;

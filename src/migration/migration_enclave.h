@@ -75,7 +75,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   // ship -> await-ack -> retained) whose round trips travel through
   // net::Network::post, so N concurrent outgoing transfers interleave
   // over independent RA channels instead of serializing.  Tasks are part
-  // of the durable queue (v3) from the moment they are queued: a restarted
+  // of the durable queue from the moment they are queued: a restarted
   // ME resumes every in-flight pipeline (re-attesting under a fresh
   // transfer id; the request nonce makes re-ships exactly-once end to
   // end).  Terminal failures are held until the library polls them
@@ -359,7 +359,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     Bytes sealed_record;
   };
   /// Initiator-side cached attestation session toward one peer ME
-  /// (durable, queue v4): the master key of a completed full handshake,
+  /// (durable, in the queue): the master key of a completed full handshake,
   /// bound to the peer's instance epoch, plus the certified credential so
   /// per-attempt policy is re-evaluated without a wire round trip.
   struct PeerSession {
@@ -403,6 +403,12 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   LibMsg on_precopy_finalize_req(LaSessionState& session, const LibMsg& msg);
   LibMsg on_migrate_enqueue(LaSessionState& session, const LibMsg& msg);
   LibMsg on_migrate_reserve(LaSessionState& session, const LibMsg& msg);
+  /// Shared body of enqueue (armed: the payload rides along) and reserve
+  /// (unarmed: the task parks at kAwaitArm): nonce and self-address
+  /// checks, dedup against the queue, idempotent re-queue of an existing
+  /// task, and the persist-then-kick insert.
+  LibMsg queue_transfer(LaSessionState& session,
+                        MigrateRequestPayload request, bool armed);
   LibMsg on_migrate_arm(LaSessionState& session, const LibMsg& msg);
   LibMsg on_poll_transfer(LaSessionState& session, const LibMsg& msg);
   LibMsg on_abort_stale(LaSessionState& session, const LibMsg& msg);
@@ -580,7 +586,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   std::deque<sgx::Measurement> confirmed_incoming_order_;
   std::map<uint64_t, DoneRelay> done_relays_;
   uint64_t next_outgoing_sequence_ = 1;
-  // Cached attestation sessions: initiator side durable (queue v4),
+  // Cached attestation sessions: initiator side durable (in the queue),
   // responder side memory-only (restart forgets -> full re-handshake).
   std::map<std::string, PeerSession> peer_sessions_;
   std::map<std::string, ResumeAcceptor> resume_acceptors_;

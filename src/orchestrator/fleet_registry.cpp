@@ -171,6 +171,11 @@ size_t FleetRegistry::count_on(const std::string& machine_address) const {
   return it == ids_by_machine_.end() ? 0 : it->second.size();
 }
 
+uint32_t FleetRegistry::reserved_on(const std::string& machine_address) const {
+  auto it = reservations_.find(machine_address);
+  return it == reservations_.end() ? 0 : it->second;
+}
+
 bool FleetRegistry::hosts_image(const std::string& machine_address,
                                 const sgx::Measurement& mr) const {
   auto it = images_by_machine_.find(machine_address);
@@ -204,6 +209,8 @@ size_t FleetRegistry::index_bytes() const {
   }
   bytes += load_changelog_.capacity() *
            sizeof(std::pair<std::string, uint32_t>);
+  bytes += reservations_.size() *
+           (sizeof(std::string) + sizeof(uint32_t) + 3 * sizeof(void*));
   return bytes;
 }
 

@@ -6,8 +6,8 @@
 // MigratableEnclave instances, remembers where each one runs (and with
 // which image, persistence engine, and migration policy), keeps the
 // per-machine load gauges on platform::Machine in sync, and provides the
-// placement queries (count per machine, image anti-affinity) the
-// Scheduler's policies rank destinations with.
+// placement queries (count per machine, in-flight reservations, image
+// anti-affinity) the Scheduler's policies rank destinations with.
 //
 // Placement changes flow through exactly two mutators so the registry can
 // never disagree with reality: launch() (a fresh enclave on a machine)
@@ -96,6 +96,12 @@ class FleetRegistry {
   /// MRENCLAVE (anti-affinity placement query).
   bool hosts_image(const std::string& machine_address,
                    const sgx::Measurement& mr) const;
+  /// In-flight migrations headed to the machine but not yet restored
+  /// there: placement counts them like resident enclaves.  Written only
+  /// through Scheduler::note_reservation / clear_reservations, which keep
+  /// that Scheduler's placement index in step; the Orchestrator releases
+  /// every reservation it takes, so the ledger is empty between plans.
+  uint32_t reserved_on(const std::string& machine_address) const;
 
   // ----- incremental load feed (placement indexes) -----
   //
@@ -146,6 +152,8 @@ class FleetRegistry {
   void index_erase(const EnclaveRecord& record);
   void record_load_change(const std::string& machine_address);
 
+  friend class Scheduler;  // sole writer of reservations_
+
   platform::World& world_;
   std::map<uint64_t, EnclaveRecord> records_;  // ordered: deterministic scans
   uint64_t next_id_ = 1;
@@ -162,6 +170,7 @@ class FleetRegistry {
       images_by_machine_;
   std::vector<std::pair<std::string, uint32_t>> load_changelog_;
   uint64_t changelog_base_ = 0;
+  std::map<std::string, uint32_t> reservations_;
 };
 
 }  // namespace sgxmig::orchestrator

@@ -157,10 +157,6 @@ std::vector<Orchestrator::Task> Orchestrator::build_tasks(const Plan& plan) {
   return tasks;
 }
 
-std::map<std::string, uint32_t> Orchestrator::reserved_destinations() const {
-  return inflight_to_destination_;
-}
-
 void Orchestrator::reserve_destination(const std::string& machine) {
   ++inflight_to_destination_[machine];
   scheduler_.note_reservation(machine, +1);
@@ -189,12 +185,6 @@ bool Orchestrator::admit_and_start(Task& task) {
       query.excluded = task.forbidden;
       query.excluded_regions = task.forbidden_regions;
       query.avoid = task.failed_destinations;
-      // Indexed picks read the scheduler's reservation ledger (kept in
-      // sync by reserve/release_destination); only the brute-force path
-      // needs the per-query map.
-      if (!scheduler_.index_active()) {
-        query.reserved = reserved_destinations();
-      }
       if (const EnclaveRecord* record = fleet_.find(task.enclave_id)) {
         query.image = record->image.get();
       }
@@ -572,143 +562,27 @@ void Orchestrator::fail_task(Task& task) {
           ": " + task.last_message);
 }
 
-// ----- wave drivers -----
+// ----- wave driver -----
 //
-// Both drivers run the same wave skeleton — admission, (pipelined) pump +
-// pre-copy advances + polls, completions, backoff stall-jump — through
-// the same admit/poll/complete primitives; they differ ONLY in which
-// tasks and machines each wave VISITS.  The legacy loop scans every task
-// and every machine every wave (O(tasks) per wave even when one enclave
-// is in flight); the event-driven loop walks the phase sets, the
-// per-source ready index, and the lane-event kick set, so a wave costs
-// work proportional to what actually happened.  The visit ORDER within a
-// wave is ascending task index / machine creation order in both, which
-// is why the two produce bit-identical reports (enforced by
-// test_event_driver.cpp and the fleet-scale bench gate).
+// Each wave runs admission, then (pipelined) the pump step, pre-copy
+// advances and polls, then completions, and finally the backoff
+// stall-jump.  Every step walks only its own index — the per-source
+// ready sets, the phase sets, the backoff heap — in ascending task index
+// (machine creation order for the pump), so a wave costs work
+// proportional to what actually happened and the visit order is fixed.
+// The golden reports under tests/golden/ pin the outcome byte for byte.
 
-void Orchestrator::run_legacy_loop(net::Network& net) {
-  auto unfinished = [&] {
-    return std::any_of(tasks_.begin(), tasks_.end(), [](const Task& t) {
-      return t.phase != TaskPhase::kDone && t.phase != TaskPhase::kFailed;
-    });
-  };
-
-  uint32_t wave = 0;
-  uint32_t stalled_waves = 0;
-  while (unfinished()) {
-    if (wave_hook_) {
-      wave_hook_(wave);
-      // Chaos hooks (ME kills/restarts) charge the clock at control
-      // level; fold that into the control instant so lane runs do not
-      // discard it.
-      if (lanes_ != nullptr) lanes_->sync_control_from_clock();
-    }
-    ++wave;
-    ++stats_.waves;
-    bool progressed = false;
-
-    // Admission wave: start every ready task the caps allow.  Started
-    // tasks stay in flight (data pending at their destination MEs) until
-    // the completion wave below, so the in-flight gauges genuinely
-    // overlap up to the caps.
-    for (Task& task : tasks_) {
-      ++stats_.task_touches;
-      const bool ready =
-          task.phase == TaskPhase::kQueued ||
-          (task.phase == TaskPhase::kBackoff && task.retry_at <= now());
-      if (!ready) continue;
-      ++stats_.admission_checks;
-      if (admit_and_start(task)) progressed = true;
-    }
-
-    if (lanes_ != nullptr) {
-      // Pump wave: re-kick source-ME tasks (freshly queued after an ME
-      // restart resumes them from the durable queue) and drain the
-      // deferred deliveries — every in-flight ME<->ME conversation
-      // advances, interleaved across lanes.
-      for (platform::Machine* m : machines_) {
-        auto* me = migration::me_on(*m);
-        if (me == nullptr || (me->transfer_task_count() == 0 &&
-                              me->precopy_outgoing_count() == 0)) {
-          continue;  // async pre-copy ships also need the pump re-kick
-        }
-        ++stats_.pump_kicks;
-        lanes_->run(m->address(), lanes_->control(), [&] { me->pump(); });
-      }
-      if (net.pump_all() > 0) progressed = true;
-
-      for (Task& task : tasks_) {
-        ++stats_.task_touches;
-        if (task.phase == TaskPhase::kPrecopying) {
-          advance_precopy(task);
-          progressed = true;
-        }
-      }
-      for (Task& task : tasks_) {
-        ++stats_.task_touches;
-        if (task.phase != TaskPhase::kTransferring) continue;
-        poll_transferring(task);
-        if (task.phase != TaskPhase::kTransferring) progressed = true;
-      }
-    }
-
-    // Completion wave: restore every in-flight migration on its
-    // destination.  Pipelined restores run on the DESTINATION lane —
-    // restores toward different machines overlap with each other and
-    // with the source lane still streaming the next transfers.
-    for (Task& task : tasks_) {
-      ++stats_.task_touches;
-      if (task.phase != TaskPhase::kStarted) continue;
-      if (lanes_ != nullptr) {
-        const Duration end = lanes_->run(
-            task.destination, std::max(task.ready_at, lanes_->control()),
-            [&] { complete(task); });
-        release_slot(end);
-      } else {
-        complete(task);
-      }
-      progressed = true;
-    }
-
-    if (progressed) {
-      stalled_waves = 0;
-      continue;
-    }
-    // Everything left is backing off (or, pipelined, awaiting a pump that
-    // produced nothing): jump the virtual clock to the earliest retry
-    // instead of spinning.
-    Duration earliest = Duration::max();
-    for (const Task& task : tasks_) {
-      if (task.phase == TaskPhase::kBackoff) {
-        earliest = std::min(earliest, task.retry_at);
-      }
-    }
-    if (earliest == Duration::max()) {
-      // Pipelined in-flight tasks with nothing pumpable resolve at the
-      // next poll; give them bounded slack before declaring a wedge.
-      if (lanes_ != nullptr && ++stalled_waves < 64) continue;
-      break;  // defensive: nothing to wait on
-    }
-    if (lanes_ != nullptr) {
-      lanes_->advance_control(earliest);
-    } else {
-      VirtualClock& clock = fleet_.world().clock();
-      if (earliest > clock.now()) clock.advance(earliest - clock.now());
-    }
-  }
-}
-
-bool Orchestrator::event_admission_pass() {
+bool Orchestrator::admission_pass() {
   ripen_backoffs(now(), nullptr);
-  // Saturated fleet: the legacy scan would refuse every ready task with
-  // no side effects, so the whole pass can be skipped.
+  // Saturated fleet: every ready task would be refused with no side
+  // effects, so the whole pass can be skipped.
   if (inflight_total_ >= options_.max_inflight_total) return false;
 
   // Merge the per-source ready sets into one ascending-index stream so
-  // candidates are processed in exactly the legacy scan order, while a
-  // saturated source contributes nothing (its candidates would all be
-  // refused without side effects — only a source's OWN admissions can
-  // change its gauge mid-pass, so saturation holds for the whole pass).
+  // candidates are processed in plan order, while a saturated source
+  // contributes nothing (its candidates would all be refused without side
+  // effects — only a source's OWN admissions can change its gauge
+  // mid-pass, so saturation holds for the whole pass).
   using Entry = std::pair<uint32_t, const std::string*>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> merge;
   for (const auto& [source, ready] : ready_by_source_) {
@@ -725,7 +599,7 @@ bool Orchestrator::event_admission_pass() {
   while (!merge.empty()) {
     // Once the fleet-wide cap is hit mid-pass nothing can release it
     // before the pass ends (releases require processing, which the cap
-    // now refuses), so the legacy scan's remaining visits are all
+    // now refuses), so the remaining candidates would all be
     // side-effect-free refusals.
     if (inflight_total_ >= options_.max_inflight_total) break;
     const auto [idx0, source] = merge.top();
@@ -738,7 +612,7 @@ bool Orchestrator::event_admission_pass() {
     // Validate against the live ready set: the entry may be stale
     // (admitted via a duplicate, or refused earlier this pass — a
     // refused candidate keeps its ready slot but is not revisited until
-    // the next wave, exactly like the one-directional legacy scan).
+    // the next wave: the pass only moves forward in plan order).
     const auto it = sit->second.lower_bound(std::max(idx0, pass_pos));
     if (it == sit->second.end()) continue;
     if (*it != idx0) {
@@ -750,9 +624,9 @@ bool Orchestrator::event_admission_pass() {
     ++stats_.admission_checks;
     if (admit_and_start(tasks_[idx0])) progressed = true;
     // Blocking (non-pipelined) admissions advance the clock: tasks later
-    // in the scan may ripen mid-pass, exactly as the legacy loop sees
-    // them at visit time.  Earlier indices ripen into the ready set for
-    // the NEXT wave only — the lower_bound(pass_pos) above skips them.
+    // in plan order may ripen mid-pass and are visited this pass.
+    // Earlier indices ripen into the ready set for the NEXT wave only —
+    // the lower_bound(pass_pos) above skips them.
     newly.clear();
     ripen_backoffs(now(), &newly);
     for (const uint32_t ripe : newly) {
@@ -782,51 +656,29 @@ void Orchestrator::run_event_loop(net::Network& net) {
     ++stats_.waves;
     bool progressed = false;
 
-    if (event_admission_pass()) progressed = true;
+    if (admission_pass()) progressed = true;
 
     if (lanes_ != nullptr) {
-      // Pump wave, event-driven: a machine needs a kick only if its lane
-      // ran since it was last pumped (enqueues, deliveries, restores and
-      // pumps all run on lanes, so any ME that gained or still has work
-      // has a lane event behind it).  Candidates leave the set the first
-      // wave their ME has nothing queued.  Hooks can revive MEs with no
-      // lane traffic of their own (mid-plan restarts), so hooked runs
-      // fall back to the legacy full scan.
-      for (const auto& event : lanes_->take_lane_events()) {
-        const auto it = machine_index_.find(event.lane);
-        if (it != machine_index_.end()) kick_candidates_.insert(it->second);
-      }
-      if (wave_hook_ || round_hook_) {
-        for (platform::Machine* m : machines_) {
-          auto* me = migration::me_on(*m);
-          if (me == nullptr || (me->transfer_task_count() == 0 &&
-                                me->precopy_outgoing_count() == 0)) {
-            continue;
-          }
-          ++stats_.pump_kicks;
-          lanes_->run(m->address(), lanes_->control(), [&] { me->pump(); });
+      // Pump step: re-kick every ME with queued transfer tasks or
+      // pre-copy attempts (freshly queued, or resumed from the durable
+      // queue after a restart), then drain the deferred deliveries so
+      // every in-flight ME<->ME conversation advances, interleaved across
+      // lanes.
+      for (platform::Machine* m : machines_) {
+        auto* me = migration::me_on(*m);
+        if (me == nullptr || (me->transfer_task_count() == 0 &&
+                              me->precopy_outgoing_count() == 0)) {
+          continue;
         }
-      } else {
-        snapshot.assign(kick_candidates_.begin(), kick_candidates_.end());
-        for (const uint32_t idx : snapshot) {
-          auto* me = migration::me_on(*machines_[idx]);
-          if (me == nullptr || (me->transfer_task_count() == 0 &&
-                                me->precopy_outgoing_count() == 0)) {
-            kick_candidates_.erase(idx);
-            continue;
-          }
-          ++stats_.pump_kicks;
-          lanes_->run(machines_[idx]->address(), lanes_->control(),
-                      [&] { me->pump(); });
-        }
+        ++stats_.pump_kicks;
+        lanes_->run(m->address(), lanes_->control(), [&] { me->pump(); });
       }
       if (net.pump_all() > 0) progressed = true;
 
-      // Pre-copy advances, then polls: snapshots in ascending index order
-      // replicate the legacy full scans (one task's advance/poll never
-      // changes another task's phase), and taking the poll snapshot
-      // AFTER the advances lets a just-finalized pre-copy be polled in
-      // the same wave, as the legacy re-scan would.
+      // Pre-copy advances, then polls, each over a snapshot in ascending
+      // index order (one task's advance/poll never changes another
+      // task's phase).  Taking the poll snapshot AFTER the advances lets
+      // a just-finalized pre-copy be polled in the same wave.
       snapshot.assign(precopying_.begin(), precopying_.end());
       for (const uint32_t idx : snapshot) {
         Task& task = tasks_[idx];
@@ -845,9 +697,10 @@ void Orchestrator::run_event_loop(net::Network& net) {
       }
     }
 
-    // Completion wave over the started set (snapshot taken after the
+    // Completion step over the started set (snapshot taken after the
     // polls so a transfer that completed its source side this wave
-    // restores this wave, like the legacy re-scan).
+    // restores this wave).  Pipelined restores run on the DESTINATION
+    // lane, overlapping with each other and with the source lanes.
     snapshot.assign(started_.begin(), started_.end());
     for (const uint32_t idx : snapshot) {
       Task& task = tasks_[idx];
@@ -871,7 +724,7 @@ void Orchestrator::run_event_loop(net::Network& net) {
     // Stall: jump to the earliest pending retry — the heap holds the
     // unripe backoffs, the ripe map the ripened-but-capacity-blocked
     // ones (whose retry times are already in the past, making the jump a
-    // no-op exactly as in the legacy scan).
+    // no-op).
     Duration earliest = Duration::max();
     if (!backoff_heap_.empty()) {
       earliest = backoff_heap_.top().first;
@@ -880,6 +733,8 @@ void Orchestrator::run_event_loop(net::Network& net) {
       earliest = std::min(earliest, retry_at);
     }
     if (earliest == Duration::max()) {
+      // Pipelined in-flight tasks with nothing pumpable resolve at the
+      // next poll; give them bounded slack before declaring a wedge.
       if (lanes_ != nullptr && ++stalled_waves < 64) continue;
       break;  // defensive: nothing to wait on
     }
@@ -908,13 +763,8 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   transferring_.clear();
   precopying_.clear();
   started_.clear();
-  kick_candidates_.clear();
   stats_ = {};
   machines_ = fleet_.world().machines();
-  machine_index_.clear();
-  for (size_t i = 0; i < machines_.size(); ++i) {
-    machine_index_[machines_[i]->address()] = static_cast<uint32_t>(i);
-  }
 
   OrchestratorReport report;
   report.plan = plan.kind;
@@ -929,7 +779,6 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   if (options_.pipelined) {
     lanes.emplace(fleet_.world().clock());
     lanes_ = &*lanes;
-    lanes_->set_event_recording(!options_.legacy_wave_loop);
     net.set_lane_schedule(lanes_);
   }
 
@@ -938,27 +787,10 @@ OrchestratorReport Orchestrator::execute(const Plan& plan) {
   for (uint32_t i = 0; i < tasks_.size(); ++i) {
     ready_by_source_[tasks_[i].source].insert(i);
   }
-  if (lanes_ != nullptr && !options_.legacy_wave_loop) {
-    // Seed the kick set with MEs already busy before this plan (durable
-    // queues surviving a previous execute); everything after this enters
-    // via lane events.
-    for (uint32_t i = 0; i < machines_.size(); ++i) {
-      auto* me = migration::me_on(*machines_[i]);
-      if (me != nullptr && (me->transfer_task_count() > 0 ||
-                            me->precopy_outgoing_count() > 0)) {
-        kick_candidates_.insert(i);
-      }
-    }
-  }
 
-  if (options_.legacy_wave_loop) {
-    run_legacy_loop(net);
-  } else {
-    run_event_loop(net);
-  }
+  run_event_loop(net);
 
   if (options_.pipelined) {
-    lanes_->set_event_recording(false);
     net.set_lane_schedule(nullptr);
     lanes_ = nullptr;
     lanes.reset();  // clock lands on the parallel horizon
@@ -1025,13 +857,9 @@ size_t Orchestrator::control_plane_bytes() const {
   bytes += backoff_heap_.size() * sizeof(std::pair<Duration, uint32_t>);
   bytes += ripe_backoff_.size() *
            (sizeof(uint32_t) + sizeof(Duration) + kNode);
-  bytes += (transferring_.size() + precopying_.size() + started_.size() +
-            kick_candidates_.size()) *
+  bytes += (transferring_.size() + precopying_.size() + started_.size()) *
            (sizeof(uint32_t) + kNode);
   bytes += machines_.capacity() * sizeof(platform::Machine*);
-  for (const auto& [address, idx] : machine_index_) {
-    bytes += address.size() + sizeof(idx) + kNode;
-  }
   return bytes;
 }
 

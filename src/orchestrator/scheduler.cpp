@@ -94,7 +94,8 @@ class AntiAffinityPolicy final : public PlacementPolicy {
 class CapacityWeightedPolicy final : public PlacementPolicy {
  public:
   const char* name() const override { return "capacity-weighted"; }
-  double load_weight(const FleetRegistry& fleet, const PlacementQuery& query,
+  double load_weight(const FleetRegistry& fleet,
+                     const PlacementQuery& /*query*/,
                      const platform::Machine& machine) const override {
     // Certified per-core occupancy: cpu_cores is the attribute the
     // provider CA signs into the machine credential (the same value
@@ -103,7 +104,7 @@ class CapacityWeightedPolicy final : public PlacementPolicy {
     // toward big machines even from an empty fleet.
     const double cores =
         machine.cpu_cores() == 0 ? 1.0 : static_cast<double>(machine.cpu_cores());
-    return (static_cast<double>(effective_load(fleet, query, machine)) + 1.0) /
+    return (static_cast<double>(effective_load(fleet, machine)) + 1.0) /
            cores;
   }
 };
@@ -127,7 +128,7 @@ class HierarchicalPolicy final : public PlacementPolicy {
       uint64_t total_cores = 0;
       for (platform::Machine* m :
            fleet.world().machines_in_region(region)) {
-        total_load += effective_load(fleet, query, *m);
+        total_load += effective_load(fleet, *m);
         total_cores += m->cpu_cores();
       }
       const double w = region_weight(total_load, total_cores);
@@ -146,7 +147,7 @@ class HierarchicalPolicy final : public PlacementPolicy {
     for (platform::Machine* m : candidates) {
       keyed.push_back({contains(query.avoid, m->address()) ? 1 : 0,
                        weight_of(m->region()), m->region(),
-                       capacity_weight(effective_load(fleet, query, *m),
+                       capacity_weight(effective_load(fleet, *m),
                                        m->cpu_cores()),
                        m});
     }
@@ -186,7 +187,7 @@ class CompositePolicy final : public PlacementPolicy {
         },
         [&](const platform::Machine& m) {
           return stages_.empty()
-                     ? static_cast<double>(effective_load(fleet, query, m))
+                     ? static_cast<double>(effective_load(fleet, m))
                      : stages_.back()->load_weight(fleet, query, m);
         });
   }
@@ -198,9 +199,9 @@ class CompositePolicy final : public PlacementPolicy {
 }  // namespace
 
 double PlacementPolicy::load_weight(const FleetRegistry& fleet,
-                                    const PlacementQuery& query,
+                                    const PlacementQuery& /*query*/,
                                     const platform::Machine& machine) const {
-  return static_cast<double>(effective_load(fleet, query, machine));
+  return static_cast<double>(effective_load(fleet, machine));
 }
 
 std::vector<platform::Machine*> PlacementPolicy::rank(
@@ -215,12 +216,9 @@ std::vector<platform::Machine*> PlacementPolicy::rank(
 }
 
 uint32_t effective_load(const FleetRegistry& fleet,
-                        const PlacementQuery& query,
                         const platform::Machine& machine) {
-  uint32_t load = static_cast<uint32_t>(fleet.count_on(machine.address()));
-  const auto it = query.reserved.find(machine.address());
-  if (it != query.reserved.end()) load += it->second;
-  return load;
+  return static_cast<uint32_t>(fleet.count_on(machine.address())) +
+         fleet.reserved_on(machine.address());
 }
 
 std::unique_ptr<PlacementPolicy> make_least_loaded_policy() {
@@ -268,10 +266,7 @@ std::vector<std::string> Scheduler::rank_destinations(
 
 Result<std::string> Scheduler::pick_destination(
     const PlacementQuery& query) const {
-  // A non-empty query.reserved is the legacy calling convention (per-query
-  // reservation map); a persistent index cannot honor it, so those picks
-  // take the brute-force path.  Ledger users leave it empty.
-  if (index_active() && query.reserved.empty()) {
+  if (index_active()) {
     const std::string pick = indexed_pick(query, policy_->index_mode());
     if (pick.empty()) return Status::kNoEligibleDestination;
     return pick;
@@ -284,7 +279,7 @@ Result<std::string> Scheduler::pick_destination(
 // ----- incrementally-maintained placement index -----
 
 void Scheduler::note_reservation(const std::string& machine, int32_t delta) {
-  uint32_t& count = reservations_[machine];
+  uint32_t& count = fleet_.reservations_[machine];
   const int64_t next = static_cast<int64_t>(count) + delta;
   count = next < 0 ? 0u : static_cast<uint32_t>(next);
   if (!index_built_) return;
@@ -296,7 +291,7 @@ void Scheduler::note_reservation(const std::string& machine, int32_t delta) {
 }
 
 void Scheduler::clear_reservations() {
-  reservations_.clear();
+  fleet_.reservations_.clear();
   index_built_ = false;  // lazy rebuild on the next indexed pick
 }
 
@@ -328,8 +323,7 @@ void Scheduler::rebuild_index() const {
   for (platform::Machine* m : fleet_.world().machines()) {
     IndexEntry entry;
     entry.load = static_cast<uint32_t>(fleet_.count_on(m->address()));
-    auto it = reservations_.find(m->address());
-    entry.reserved = it == reservations_.end() ? 0 : it->second;
+    entry.reserved = fleet_.reserved_on(m->address());
     entry.cores = m->cpu_cores();
     entry.region = m->region();
     shard_insert(m->address(), entry);
@@ -472,8 +466,7 @@ std::string Scheduler::indexed_pick(const PlacementQuery& query,
 }
 
 size_t Scheduler::index_bytes() const {
-  size_t bytes = reservations_.size() *
-                 (sizeof(std::string) + sizeof(uint32_t) + 3 * sizeof(void*));
+  size_t bytes = 0;
   for (const auto& [address, entry] : entries_) {
     bytes += address.size() + entry.region.size() + sizeof(IndexEntry) +
              3 * sizeof(void*);

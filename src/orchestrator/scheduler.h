@@ -4,8 +4,9 @@
 // about to leave its source; the Scheduler applies the hard constraints
 // (never the source, never a plan-forbidden machine) and hands the
 // survivors to the policy.  Policies see only platform-level queries
-// (Machine::enclave_load, Machine::region) plus the registry's
-// anti-affinity lookup, so new policies need no orchestrator internals.
+// (Machine::enclave_load, Machine::region) plus the registry's load,
+// reservation and anti-affinity lookups, so new policies need no
+// orchestrator internals.
 //
 // Built-in policies:
 //   * least-loaded       — fewest enclaves (registry count + in-flight
@@ -55,9 +56,6 @@ struct PlacementQuery {
   /// migration.  Ranked last rather than dropped, so a fleet with no
   /// other options can still retry them once the interference clears.
   std::vector<std::string> avoid;
-  /// In-flight migrations already headed to each machine (reservations
-  /// the registry cannot see yet).  Added to the registry load.
-  std::map<std::string, uint32_t> reserved;
   /// Identity of the enclave being placed (anti-affinity).
   const sgx::EnclaveImage* image = nullptr;
 };
@@ -141,13 +139,7 @@ class Scheduler {
   /// an index mode (and the index is enabled, the default), the pick
   /// walks the per-region load gauges — O(regions + skips) — instead of
   /// ranking every machine; the result is identical to the full scan.
-  ///
-  /// NOTE: the indexed path uses the reservation ledger maintained via
-  /// note_reservation() — a per-query map cannot be baked into a
-  /// persistent index — so a query with a non-empty `reserved` map falls
-  /// back to the full scan.  Ledger users leave the map empty; the
-  /// Orchestrator keeps the ledger in sync with its in-flight gauges, so
-  /// either path sees the same loads.
+  /// Both paths count the in-flight reservations of note_reservation().
   Result<std::string> pick_destination(const PlacementQuery& query) const;
 
   /// Full ranking (tests and rebalance planning).  Always brute-force.
@@ -156,10 +148,12 @@ class Scheduler {
 
   const PlacementPolicy& policy() const { return *policy_; }
 
-  // ----- in-flight reservation ledger (indexed picks) -----
+  // ----- in-flight reservation ledger -----
 
   /// Adjusts the in-flight reservation count for `machine` by `delta`
-  /// (the indexed analog of PlacementQuery::reserved).
+  /// (clamped at zero).  The ledger lives in the registry
+  /// (FleetRegistry::reserved_on), so every policy ranks with it; this
+  /// keeps the placement index in step.
   void note_reservation(const std::string& machine, int32_t delta);
   void clear_reservations();
 
@@ -204,8 +198,6 @@ class Scheduler {
   FleetRegistry& fleet_;
   std::unique_ptr<PlacementPolicy> policy_;
   bool use_index_ = true;
-  /// Reservation ledger; survives index rebuilds.
-  std::map<std::string, uint32_t> reservations_;
 
   // Index state is a cache over the registry (synced lazily from its
   // load changelog before every indexed pick), so const picks stay const.
@@ -216,9 +208,8 @@ class Scheduler {
 };
 
 /// Effective load used by every built-in policy: enclaves the registry
-/// places on the machine plus the query's in-flight reservations.
+/// places on the machine plus its in-flight reservations.
 uint32_t effective_load(const FleetRegistry& fleet,
-                        const PlacementQuery& query,
                         const platform::Machine& machine);
 
 }  // namespace sgxmig::orchestrator

@@ -1,14 +1,14 @@
-// Event-driven orchestrator tests (ISSUE 10): the driver swap and every
-// structure it leans on must be EXACTLY equivalent to what it replaced.
-//   * driver equivalence — the event-driven wave loop reproduces the
-//     legacy full-scan loop's OrchestratorReport JSON (events included)
-//     and virtual wall bit-for-bit on pipelined, pre-copy and ME-restart
-//     drains, while touching an order of magnitude fewer tasks;
+// Orchestrator wave-driver tests: the driver and every structure it leans
+// on must keep producing exactly the outcomes pinned for them.
+//   * golden reports — the wave driver reproduces the committed golden
+//     files (OrchestratorReport JSON with events, virtual wall in ns,
+//     DriverStats) byte for byte on the pipelined, pre-copy and ME-restart
+//     32-enclave drains (tests/golden/fleet_drain_golden.h);
 //   * placement-index determinism — the incrementally-updated index
-//     (ledger reservations, region shards) picks the same destination as
-//     the brute-force full scan (per-query reservation map) across
-//     randomized fleets, exclusions, avoids and reservation churn, for
-//     both indexed policies;
+//     (region shards over the reservation ledger) picks the same
+//     destination as the brute-force full scan over the same ledger
+//     across randomized fleets, exclusions, avoids and reservation
+//     churn, for both indexed policies;
 //   * event-log ring — a capped log retains exactly the newest events
 //     and counts the dropped prefix;
 //   * ME completed-history cap — long drains hold the exactly-once dedup
@@ -16,6 +16,7 @@
 //     reply resumes without a double transfer after the history cycled).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -23,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "fleet_drain_golden.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
 #include "orchestrator/orchestrator.h"
@@ -35,7 +37,6 @@ using migration::InitState;
 using migration::MigratableEnclave;
 using migration::MigrationEnclave;
 using migration::OutgoingState;
-using orchestrator::DriverStats;
 using orchestrator::FleetRegistry;
 using orchestrator::LaunchOptions;
 using orchestrator::Orchestrator;
@@ -45,107 +46,29 @@ using orchestrator::PlacementPolicy;
 using orchestrator::PlacementQuery;
 using orchestrator::Plan;
 using orchestrator::Scheduler;
-using orchestrator::TransferMode;
 using platform::World;
 using sgx::EnclaveImage;
 
-// ----- driver equivalence -----
+// ----- golden reports -----
 
-struct DrainOutcome {
-  std::string report_json;
-  Duration wall{};
-  DriverStats stats;
-  size_t succeeded = 0;
-  size_t failed = 0;
-};
+class GoldenDrain : public ::testing::TestWithParam<golden::DrainConfig> {};
 
-enum class DrainConfig { kPipelined, kPrecopy, kMeRestart };
+TEST_P(GoldenDrain, ReportWallAndStatsMatchGolden) {
+  const golden::DrainRun run = golden::run_drain(GetParam());
+  EXPECT_EQ(run.report.succeeded(), 32u);
+  EXPECT_EQ(run.report.failed(), 0u);
+  EXPECT_TRUE(golden::matches_golden(GetParam(),
+                                     golden::golden_text(GetParam(), run)))
+      << "diff the two files printed above";
+}
 
-/// One 16-enclave drain of m0 across 3 destinations under the requested
-/// driver.  Worlds are rebuilt per call with the same seed, so the two
-/// drivers see byte-identical initial states.
-DrainOutcome run_drain(DrainConfig config, bool legacy_driver) {
-  const TransferMode mode = config == DrainConfig::kPrecopy
-                                ? TransferMode::kPrecopy
-                                : TransferMode::kFullSnapshot;
-  World world(7801 + static_cast<int>(config));
-  world.install_management_enclaves(
-      migration::durable_me_factory(world.provider()));
-  for (int i = 0; i < 4; ++i) world.add_machine("m" + std::to_string(i));
-  if (mode == TransferMode::kPrecopy) {
-    for (platform::Machine* m : world.machines()) {
-      if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
-    }
-  }
-
-  FleetRegistry fleet(world);
-  LaunchOptions launch;
-  launch.live_transfer = mode == TransferMode::kPrecopy;
-  for (int i = 0; i < 16; ++i) {
-    const std::string name = "eq-app-" + std::to_string(i);
-    auto launched = fleet.launch(
-        "m0", name, EnclaveImage::create(name, 1, "acme"), launch);
-    EXPECT_TRUE(launched.ok());
-    auto* enclave = fleet.enclave(launched.value());
-    const uint32_t counter =
-        enclave->ecall_create_migratable_counter().value().counter_id;
-    enclave->ecall_increment_migratable_counter(counter);
-  }
-
-  Scheduler scheduler(fleet);
-  OrchestratorOptions options;
-  options.max_inflight_per_machine = 4;
-  options.max_inflight_total = 6;
-  options.max_attempts = 6;
-  options.transfer_mode = mode;
-  options.pipelined = true;
-  options.legacy_wave_loop = legacy_driver;
-  Orchestrator orch(fleet, scheduler, options);
-  size_t completions = 0;
-  if (config == DrainConfig::kMeRestart) {
-    fleet.set_completion_callback(
-        [&world, &completions](const orchestrator::EnclaveRecord&) {
-          if (++completions == 2) {
-            world.machine("m0")->kill_management_enclave();
-          }
-        });
-    orch.set_wave_hook([&world, waves_down = 0u](uint32_t) mutable {
-      if (world.machine("m0")->has_management_enclave()) return;
-      if (++waves_down >= 3) world.machine("m0")->restart_management_enclave();
+INSTANTIATE_TEST_SUITE_P(
+    Configs, GoldenDrain, ::testing::ValuesIn(golden::kDrainConfigs),
+    [](const ::testing::TestParamInfo<golden::DrainConfig>& config) {
+      std::string name = golden::drain_config_name(config.param);
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
     });
-  }
-
-  DrainOutcome outcome;
-  const Duration t0 = world.clock().now();
-  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
-  outcome.wall = world.clock().now() - t0;
-  outcome.report_json = report.to_json(/*include_events=*/true);
-  outcome.stats = orch.last_driver_stats();
-  outcome.succeeded = report.succeeded();
-  outcome.failed = report.failed();
-  return outcome;
-}
-
-class EventDriverEquivalence
-    : public ::testing::TestWithParam<DrainConfig> {};
-
-TEST_P(EventDriverEquivalence, ReportAndWallBitIdentical) {
-  const DrainOutcome legacy = run_drain(GetParam(), /*legacy_driver=*/true);
-  const DrainOutcome event = run_drain(GetParam(), /*legacy_driver=*/false);
-  EXPECT_EQ(legacy.succeeded, 16u);
-  EXPECT_EQ(legacy.failed, 0u);
-  EXPECT_EQ(event.report_json, legacy.report_json);
-  EXPECT_EQ(event.wall, legacy.wall);
-  // The whole point of the swap: same outcome, far less wave work.  The
-  // legacy loop visits every task every scan; the event loop only visits
-  // tasks whose lane fired or whose retry ripened.
-  EXPECT_LT(event.stats.task_touches, legacy.stats.task_touches / 4);
-}
-
-INSTANTIATE_TEST_SUITE_P(Configs, EventDriverEquivalence,
-                         ::testing::Values(DrainConfig::kPipelined,
-                                           DrainConfig::kPrecopy,
-                                           DrainConfig::kMeRestart));
 
 // ----- placement-index determinism -----
 
@@ -182,7 +105,7 @@ class PlacementIndexDeterminism : public ::testing::Test {
     }
   }
 
-  PlacementQuery random_query(const std::map<std::string, uint32_t>& ledger) {
+  PlacementQuery random_query() {
     PlacementQuery query;
     query.source = "m" + std::to_string(splitmix(rng_) % 18);
     for (int i = 0; i < 3; ++i) {
@@ -197,9 +120,6 @@ class PlacementIndexDeterminism : public ::testing::Test {
     if (splitmix(rng_) % 3 == 0) {
       query.avoid.push_back("m" + std::to_string(splitmix(rng_) % 18));
     }
-    // The brute-force leg carries the ledger as the legacy per-query map;
-    // the indexed leg sees it via note_reservation only.
-    query.reserved = ledger;
     return query;
   }
 
@@ -222,10 +142,9 @@ class PlacementIndexDeterminism : public ::testing::Test {
         if (--it->second == 0) ledger.erase(it);
       }
 
-      PlacementQuery query = random_query(ledger);
-      PlacementQuery indexed_query = query;
-      indexed_query.reserved.clear();  // ledger-only calling convention
-      const auto indexed = scheduler.pick_destination(indexed_query);
+      // Both legs read the same reservation ledger.
+      const PlacementQuery query = random_query();
+      const auto indexed = scheduler.pick_destination(query);
       scheduler.set_use_index(false);
       const auto brute = scheduler.pick_destination(query);
       scheduler.set_use_index(true);

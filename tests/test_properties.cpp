@@ -1,5 +1,5 @@
 // Property-based tests (parameterized sweeps) on the security invariants
-// from DESIGN.md §6:
+// that defeat the paper's §III roll-back and fork attacks:
 //   1. effective counter values never decrease under any interleaving of
 //      operations, restarts, replays, and migrations;
 //   2. migratable seal/unseal round-trips across machines and sizes;
