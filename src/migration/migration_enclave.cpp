@@ -28,6 +28,18 @@ MeResponse error_response(Status status) {
   return resp;
 }
 
+// Merge by generation: replayed or re-shipped chunks are idempotent,
+// later generations win.
+void merge_chunks(std::map<uint32_t, CounterChunk>& into,
+                  const std::vector<CounterChunk>& chunks) {
+  for (const CounterChunk& chunk : chunks) {
+    const auto merged = into.find(chunk.index);
+    if (merged == into.end() || merged->second.generation <= chunk.generation) {
+      into[chunk.index] = chunk;
+    }
+  }
+}
+
 // ----- observability -----
 //
 // The ME never owns an Observability; it borrows the world's through its
@@ -179,6 +191,31 @@ void MigrationEnclave::record_completed(uint64_t transfer_id,
     completed_outgoing_.erase(completed_order_.front());
     completed_order_.pop_front();
   }
+}
+
+std::map<uint64_t, MigrationEnclave::OutgoingTransfer>::iterator
+MigrationEnclave::drop_outgoing(
+    std::map<uint64_t, OutgoingTransfer>::iterator it) {
+  secure_wipe(it->second.retained_data);
+  // Keep the per-identity index consistent: a dropped attempt must read
+  // as kNone (like a fresh ME), not linger as a never-evictable kPending.
+  const auto latest = latest_outgoing_.find(it->second.source_mr);
+  if (latest != latest_outgoing_.end() &&
+      latest->second.first == it->second.sequence) {
+    latest_outgoing_.erase(latest);
+  }
+  return outgoing_.erase(it);
+}
+
+bool MigrationEnclave::moved_on(const sgx::Measurement& mr,
+                                uint64_t nonce) const {
+  bool newer_completed = false;
+  for (const auto& [id, record] : completed_outgoing_) {
+    if (!(record.source_mr == mr)) continue;
+    if (record.request_nonce == nonce) return false;  // this attempt won
+    newer_completed = true;
+  }
+  return newer_completed;
 }
 
 size_t MigrationEnclave::history_limit() const {
@@ -373,22 +410,49 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
 
 LibMsg MigrationEnclave::on_migrate_request(LaSessionState& session,
                                             const LibMsg& msg) {
-  LibMsg reply;
   auto request = MigrateRequestPayload::deserialize(msg.payload);
   if (!request.ok()) {
+    LibMsg reply;
     reply.type = LibMsgType::kError;
     reply.status = Status::kTampered;
     return reply;
   }
-  const Status status =
-      run_outgoing(session.peer.mr_enclave, request.value());
-  if (status != Status::kOk) {
+  if (!can_pump_inline()) {
+    // Under a lane schedule only the schedule's owner may pump the wire;
+    // a caller there enqueues (kMigrateEnqueue) and polls instead.
+    LibMsg reply;
     reply.type = LibMsgType::kError;
-    reply.status = status;
+    reply.status = Status::kInvalidState;
     return reply;
   }
+  const uint64_t nonce = request.value().request_nonce;
+  // The same task a kMigrateEnqueue queues, minus the seal: the blocked
+  // library still holds the data, and a lost reply resolves through the
+  // nonce-scoped status query.
+  LibMsg reply = queue_transfer(session, std::move(request).value(),
+                                /*armed=*/true, /*durable=*/false);
+  if (reply.type != LibMsgType::kMigrateQueued) return reply;
+  pump_inline([this, nonce] {
+    const auto it = transfer_tasks_.find(nonce);
+    return it == transfer_tasks_.end() ||
+           it->second.step == TransferTask::Step::kFailed;
+  });
+  reply.type = LibMsgType::kError;
+  const auto it = transfer_tasks_.find(nonce);
+  if (it != transfer_tasks_.end()) {
+    // The reply carries the failure (or, with the wire idle, a task that
+    // cannot finish — a reservation nobody armed), so nothing is left for
+    // a poll.  A task queued earlier for this attempt is consumed durably.
+    reply.status = it->second.step == TransferTask::Step::kFailed
+                       ? it->second.failure
+                       : Status::kInvalidState;
+    const bool durable = it->second.durable;
+    transfer_tasks_.erase(it);
+    if (durable) persist_queue();
+    return reply;
+  }
+  // The task dissolved into the retained transfer.
   reply.type = LibMsgType::kMigrateAccepted;
-  reply.status = Status::kOk;
   return reply;
 }
 
@@ -604,22 +668,7 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
   } else {
     // Nonce-scoped query: the fate of exactly one migrate request — the
     // resume path a library uses when its ME exchange died mid-flight.
-    for (const auto& [id, transfer] : outgoing_) {
-      if (transfer.source_mr == session.peer.mr_enclave &&
-          transfer.request_nonce == nonce) {
-        state = OutgoingState::kPending;
-        break;
-      }
-    }
-    if (state == OutgoingState::kNone) {
-      for (const auto& [id, record] : completed_outgoing_) {
-        if (record.source_mr == session.peer.mr_enclave &&
-            record.request_nonce == nonce) {
-          state = OutgoingState::kCompleted;
-          break;
-        }
-      }
-    }
+    state = outgoing_fate(session.peer.mr_enclave, nonce).state;
   }
   reply.type = LibMsgType::kStatusReport;
   reply.status = Status::kOk;
@@ -631,77 +680,121 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
 
 // ----- outgoing migration (source side, paper Fig. 2 steps 3-4) -----
 
-Result<net::SecureChannel> MigrationEnclave::attest_peer_me(
+// The handshake halves below are shared by the posted TransferTask steps
+// and the blocking attest_peer_me: each one consumes a peer reply and
+// produces the next request (or the attested channel).
+
+Result<MeRequest> MigrationEnclave::resume_request(
     const std::string& destination_address, uint64_t transfer_id,
-    const MigrationPolicy& policy) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
-  const std::string dest_endpoint = destination_address + "/me";
+    const MigrationPolicy& policy, std::array<uint8_t, 16>& nonce_i) {
+  const auto it = peer_sessions_.find(destination_address);
+  if (it == peer_sessions_.end()) return Status::kNoPendingMigration;
+  // Per-attempt policy runs against the CACHED provider-certified
+  // credential: a denial is as authoritative as one against a freshly
+  // attested credential, and no restart evidence, so the cache survives.
+  const Status policy_status = policy.evaluate(it->second.credential);
+  if (policy_status != Status::kOk) return policy_status;
+  SessionResumeRequest resume;
+  resume.initiator_address = platform().address();
+  resume.responder_epoch = it->second.peer_epoch;
+  resume.nonce = to_array<16>(rng().bytes(16));
+  resume.mac = resume_request_mac(it->second.master_key, transfer_id,
+                                  resume.initiator_address,
+                                  resume.responder_epoch, resume.nonce);
+  nonce_i = resume.nonce;
+  MeRequest req;
+  req.type = MeMsgType::kSessionResume;
+  req.id = transfer_id;
+  req.payload = resume.serialize();
+  return req;
+}
 
-  // --- cached-session resume (one round trip) ---
-  auto resumed = try_resume_session(destination_address, transfer_id, policy);
-  if (resumed.ok()) return resumed;
-  if (resumed.status() == Status::kPolicyViolation) {
-    // The cached credential is the provider-certified one from the full
-    // handshake; a policy denial against it is as authoritative as one
-    // against a freshly attested credential.
-    return resumed.status();
+Result<net::SecureChannel> MigrationEnclave::resumed_channel(
+    const std::string& destination_address, uint64_t transfer_id,
+    const std::array<uint8_t, 16>& nonce_i, const Result<Bytes>& raw) {
+  // Transport failure says nothing about the peer's session table: keep
+  // the cache (a full handshake would hit the same dead wire).
+  if (!raw.ok()) return raw.status();
+  const auto it = peer_sessions_.find(destination_address);
+  if (it == peer_sessions_.end()) return Status::kNoPendingMigration;
+  // The peer answered but refused (restart, epoch bump, MAC rejection),
+  // or its reply does not verify: either way the entry is retired.
+  const auto refused = [&](Status status) {
+    peer_sessions_.erase(it);
+    return status;
+  };
+  auto payload = open_task_reply(raw);
+  if (!payload.ok()) return refused(payload.status());
+  auto reply = SessionResumeReply::deserialize(payload.value());
+  if (!reply.ok()) return refused(Status::kTampered);
+  const crypto::CmacTag expected =
+      resume_reply_mac(it->second.master_key, transfer_id, nonce_i,
+                       reply.value().nonce);
+  if (!constant_time_eq(expected, reply.value().mac)) {
+    return refused(Status::kMacMismatch);
   }
-  // Anything else (no cache entry, peer refused, transport) falls back to
-  // the full msg1/msg3 handshake below.
+  const sgx::Key128 key = derive_resume_key(it->second.master_key,
+                                            transfer_id, nonce_i,
+                                            reply.value().nonce);
+  ++resumed_handshakes_;
+  if (obs::Observability* obs = enabled_obs(platform())) {
+    obs->metrics.add("me.handshake.resumed");
+  }
+  return net::SecureChannel(key, net::SecureChannel::Role::kInitiator);
+}
 
-  // --- mutual remote attestation ---
-  sgx::RaSession ra(platform(), identity(), sgx::RaSession::Role::kInitiator);
-  MeRequest m1;
-  m1.type = MeMsgType::kRaMsg1;
-  m1.id = transfer_id;
-  m1.payload = ra.create_msg1().serialize();
-  auto raw2 = net->rpc(dest_endpoint, m1.serialize());
-  if (!raw2.ok()) return raw2.status();
-  auto resp2 = MeResponse::deserialize(raw2.value());
-  if (!resp2.ok()) return Status::kTampered;
-  if (resp2.value().status != Status::kOk) return resp2.value().status;
-  auto msg2 = sgx::RaMsg2::deserialize(resp2.value().payload);
+Result<MeRequest> MigrationEnclave::ra_msg3_request(sgx::RaSession& ra,
+                                                    uint64_t transfer_id,
+                                                    const Result<Bytes>& raw) {
+  auto payload = open_task_reply(raw);
+  if (!payload.ok()) return payload.status();
+  auto msg2 = sgx::RaMsg2::deserialize(payload.value());
   if (!msg2.ok()) return Status::kTampered;
   auto msg3 = ra.handle_msg2(msg2.value());
   if (!msg3.ok()) return msg3.status();
-
   // The destination ME must run exactly this ME's code (paper §VI-A).
   if (!(ra.peer_identity().mr_enclave == identity().mr_enclave)) {
     return Status::kIdentityMismatch;
   }
-
-  // --- provider authentication (both directions) ---
-  BinaryWriter m3_payload;
-  m3_payload.bytes(msg3.value().serialize());
-  m3_payload.bytes(make_provider_auth(ra.transcript_hash()).serialize());
+  // Provider authentication (both directions) rides along with msg3.
+  BinaryWriter w;
+  w.bytes(msg3.value().serialize());
+  w.bytes(make_provider_auth(ra.transcript_hash()).serialize());
   MeRequest m3;
   m3.type = MeMsgType::kRaMsg3;
   m3.id = transfer_id;
-  m3.payload = m3_payload.take();
-  auto raw3 = net->rpc(dest_endpoint, m3.serialize());
-  if (!raw3.ok()) return raw3.status();
-  auto resp3 = MeResponse::deserialize(raw3.value());
-  if (!resp3.ok()) return Status::kTampered;
-  if (resp3.value().status != Status::kOk) return resp3.value().status;
-  BinaryReader r3(resp3.value().payload);
-  auto peer_auth = ProviderAuth::deserialize(r3.bytes(1u << 16));
+  m3.payload = w.take();
+  return m3;
+}
+
+Result<net::SecureChannel> MigrationEnclave::handshake_channel(
+    const sgx::RaSession& ra, const std::string& destination_address,
+    const MigrationPolicy& policy, const Result<Bytes>& raw) {
+  auto payload = open_task_reply(raw);
+  if (!payload.ok()) return payload.status();
+  BinaryReader r(payload.value());
+  auto peer_auth = ProviderAuth::deserialize(r.bytes(1u << 16));
   if (!peer_auth.ok()) return Status::kTampered;
-  const uint64_t peer_epoch = r3.u64();
-  if (!r3.done()) return Status::kTampered;
+  const uint64_t peer_epoch = r.u64();
+  if (!r.done()) return Status::kTampered;
   std::string peer_region;
   const Status auth_status =
       verify_provider_auth(peer_auth.value(), ra.transcript_hash(),
                            destination_address, &peer_region);
   if (auth_status != Status::kOk) return auth_status;
-
-  // --- migration policy (paper §X extension): evaluated against the
-  // destination's provider-CERTIFIED attributes, not self-claimed ones ---
+  // Migration policy (paper §X extension): evaluated against the
+  // destination's provider-CERTIFIED attributes, not self-claimed ones.
   const Status policy_status = policy.evaluate(peer_auth.value().credential);
   if (policy_status != Status::kOk) return policy_status;
-
-  cache_peer_session(destination_address, ra.session_key(), peer_epoch,
-                     peer_auth.value().credential, peer_region);
+  // Cache the session for one-round-trip resumes.  Durability rides the
+  // caller's next queue transition — losing an entry only costs a full
+  // handshake.
+  PeerSession session;
+  session.master_key = ra.session_key();
+  session.peer_epoch = peer_epoch;
+  session.credential = peer_auth.value().credential;
+  session.region = peer_region;
+  peer_sessions_[destination_address] = std::move(session);
   ++full_handshakes_;
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->metrics.add("me.handshake.full");
@@ -710,78 +803,37 @@ Result<net::SecureChannel> MigrationEnclave::attest_peer_me(
                             net::SecureChannel::Role::kInitiator);
 }
 
-void MigrationEnclave::cache_peer_session(
-    const std::string& destination_address, const sgx::Key128& master_key,
-    uint64_t peer_epoch, const platform::MachineCredential& credential,
-    const std::string& region) {
-  PeerSession session;
-  session.master_key = master_key;
-  session.peer_epoch = peer_epoch;
-  session.credential = credential;
-  session.region = region;
-  peer_sessions_[destination_address] = std::move(session);
-  // Durability rides the next persist_queue() from the caller's own state
-  // transition — losing a cache entry only costs a full handshake.
-}
-
-Result<net::SecureChannel> MigrationEnclave::try_resume_session(
+Result<net::SecureChannel> MigrationEnclave::attest_peer_me(
     const std::string& destination_address, uint64_t transfer_id,
     const MigrationPolicy& policy) {
   auto* net = platform().network();
   if (net == nullptr) return Status::kNetworkUnreachable;
-  const auto it = peer_sessions_.find(destination_address);
-  if (it == peer_sessions_.end()) return Status::kNoPendingMigration;
-  // Per-attempt policy runs against the CACHED provider-certified
-  // credential; a denial is not restart evidence, so the cache survives.
-  const Status policy_status = policy.evaluate(it->second.credential);
-  if (policy_status != Status::kOk) return policy_status;
-
-  SessionResumeRequest resume;
-  resume.initiator_address = platform().address();
-  resume.responder_epoch = it->second.peer_epoch;
-  resume.nonce = to_array<16>(rng().bytes(16));
-  resume.mac = resume_request_mac(it->second.master_key, transfer_id,
-                                  resume.initiator_address,
-                                  resume.responder_epoch, resume.nonce);
-  MeRequest req;
-  req.type = MeMsgType::kSessionResume;
-  req.id = transfer_id;
-  req.payload = resume.serialize();
-  auto raw = net->rpc(destination_address + "/me", req.serialize());
-  // Transport failure says nothing about the peer's session table: keep
-  // the cache (the fallback full handshake will fail the same way).
-  if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok()) {
-    peer_sessions_.erase(destination_address);
-    return Status::kTampered;
+  const std::string dest_endpoint = destination_address + "/me";
+  // Cached-session resume first (one round trip).  Anything but a policy
+  // denial (no cache entry, peer refused, transport) falls back to the
+  // full handshake.
+  std::array<uint8_t, 16> nonce_i{};
+  auto resume =
+      resume_request(destination_address, transfer_id, policy, nonce_i);
+  if (resume.ok()) {
+    auto resumed =
+        resumed_channel(destination_address, transfer_id, nonce_i,
+                        net->rpc(dest_endpoint, resume.value().serialize()));
+    if (resumed.ok()) return resumed;
+  } else if (resume.status() == Status::kPolicyViolation) {
+    return resume.status();
   }
-  if (resp.value().status != Status::kOk) {
-    // The peer answered but refused: restart (empty acceptor table),
-    // epoch bump, or MAC rejection.  All of them retire this entry.
-    peer_sessions_.erase(destination_address);
-    return resp.value().status;
-  }
-  auto reply = SessionResumeReply::deserialize(resp.value().payload);
-  if (!reply.ok()) {
-    peer_sessions_.erase(destination_address);
-    return Status::kTampered;
-  }
-  const crypto::CmacTag expected =
-      resume_reply_mac(it->second.master_key, transfer_id, resume.nonce,
-                       reply.value().nonce);
-  if (!constant_time_eq(expected, reply.value().mac)) {
-    peer_sessions_.erase(destination_address);
-    return Status::kMacMismatch;
-  }
-  const sgx::Key128 key = derive_resume_key(it->second.master_key,
-                                            transfer_id, resume.nonce,
-                                            reply.value().nonce);
-  ++resumed_handshakes_;
-  if (obs::Observability* obs = enabled_obs(platform())) {
-    obs->metrics.add("me.handshake.resumed");
-  }
-  return net::SecureChannel(key, net::SecureChannel::Role::kInitiator);
+  // Mutual remote attestation + provider authentication.
+  sgx::RaSession ra(platform(), identity(), sgx::RaSession::Role::kInitiator);
+  MeRequest m1;
+  m1.type = MeMsgType::kRaMsg1;
+  m1.id = transfer_id;
+  m1.payload = ra.create_msg1().serialize();
+  auto m3 = ra_msg3_request(ra, transfer_id,
+                            net->rpc(dest_endpoint, m1.serialize()));
+  if (!m3.ok()) return m3.status();
+  return handshake_channel(ra, destination_address, policy,
+                           net->rpc(dest_endpoint, m3.value().serialize()));
 }
 
 MeResponse MigrationEnclave::on_session_resume(const MeRequest& req) {
@@ -831,6 +883,25 @@ MeResponse MigrationEnclave::on_session_resume(const MeRequest& req) {
   return resp;
 }
 
+MigrationEnclave::OutgoingFate MigrationEnclave::outgoing_fate(
+    const sgx::Measurement& source_mr, uint64_t nonce) const {
+  OutgoingFate fate;
+  for (const auto& [id, transfer] : outgoing_) {
+    if (transfer.source_mr == source_mr && transfer.request_nonce == nonce) {
+      fate.state = OutgoingState::kPending;
+      fate.retained = &transfer;
+      return fate;
+    }
+  }
+  for (const auto& [id, record] : completed_outgoing_) {
+    if (record.source_mr == source_mr && record.request_nonce == nonce) {
+      fate.state = OutgoingState::kCompleted;
+      return fate;
+    }
+  }
+  return fate;
+}
+
 Status MigrationEnclave::dedup_against_queue(
     const sgx::Measurement& source_mr, uint64_t nonce,
     const std::string& destination_address) {
@@ -840,105 +911,35 @@ Status MigrationEnclave::dedup_against_queue(
   // retained (or even completed) a transfer, report success instead of
   // shipping the data a second time.
   if (nonce == 0) return Status::kNoPendingMigration;
-  for (const auto& [id, transfer] : outgoing_) {
-    if (transfer.source_mr == source_mr && transfer.request_nonce == nonce &&
-        transfer.destination_address == destination_address) {
-      // Re-fence before acking: if the original attempt's persist
-      // failed, this success must not stand on a non-durable entry.
-      return persist_queue();
-    }
-  }
-  for (const auto& [id, record] : completed_outgoing_) {
-    if (record.source_mr == source_mr && record.request_nonce == nonce) {
-      return Status::kOk;
-    }
+  const OutgoingFate fate = outgoing_fate(source_mr, nonce);
+  if (fate.state == OutgoingState::kCompleted) return Status::kOk;
+  if (fate.retained != nullptr &&
+      fate.retained->destination_address == destination_address) {
+    // Re-fence before acking: if the original attempt's persist
+    // failed, this success must not stand on a non-durable entry.
+    return persist_queue();
   }
   return Status::kNoPendingMigration;
 }
 
-Status MigrationEnclave::run_outgoing(sgx::Measurement source_mr,
-                                      const MigrateRequestPayload& request) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
-  if (request.destination_address == platform().address()) {
-    return Status::kInvalidParameter;
-  }
-  const Status dedup = dedup_against_queue(source_mr, request.request_nonce,
-                                           request.destination_address);
-  if (dedup != Status::kNoPendingMigration) return dedup;
-  // A queued TransferTask for this nonce (caller mixed the non-blocking
-  // and blocking APIs) is superseded by this synchronous attempt: left
-  // alive, both paths would retain the same transfer once each.  Any
-  // record the dead task already put on the wire re-ships the same nonce,
-  // which the destination supersedes idempotently — never a fork.
-  if (request.request_nonce != 0) {
-    const auto task = transfer_tasks_.find(request.request_nonce);
-    if (task != transfer_tasks_.end() && task->second.source_mr == source_mr) {
-      transfer_tasks_.erase(task);
-      const Status persisted = persist_queue();
-      if (persisted != Status::kOk) return persisted;
-    }
-  }
-  const std::string dest_endpoint = request.destination_address + "/me";
-  const uint64_t transfer_id = fresh_id();
-  // An id collision must never clobber a live retained transfer (or a
-  // completion record a duplicate DONE may still reference).  kAlreadyExists
-  // classifies retryable-busy: the caller retries and draws a fresh id.
-  if (outgoing_.count(transfer_id) != 0 ||
-      completed_outgoing_.count(transfer_id) != 0) {
-    return Status::kAlreadyExists;
-  }
-
-  auto attested = attest_peer_me(request.destination_address, transfer_id,
-                                 request.policy);
-  if (!attested.ok()) return attested.status();
-
-  // --- transfer over the attestation-derived channel ---
-  net::SecureChannel channel = std::move(attested).value();
-  TransferPayload payload;
-  payload.source_mr_enclave = source_mr;
-  payload.source_me_address = platform().address();
-  payload.request_nonce = request.request_nonce;
-  payload.data = request.data;
-  const Bytes payload_bytes = payload.serialize();
-  charge_gcm(payload_bytes.size());
-  MeRequest t;
-  t.type = MeMsgType::kTransfer;
-  t.id = transfer_id;
-  t.payload = channel.seal_record(payload_bytes);
-  auto raw_t = net->rpc(dest_endpoint, t.serialize());
-  if (!raw_t.ok()) return raw_t.status();
-  auto resp_t = MeResponse::deserialize(raw_t.value());
-  if (!resp_t.ok()) return Status::kTampered;
-  if (resp_t.value().status != Status::kOk) return resp_t.value().status;
-  auto ack = channel.open_record(resp_t.value().payload);
-  if (!ack.ok()) return ack.status();
-  if (to_string(ack.value()) != kAcceptedMarker) return Status::kTampered;
-
-  // Retain the data until the destination confirms delivery (paper §V-D),
-  // durably: the retained copy and the channel that will authenticate the
-  // DONE must both survive an ME restart.
-  OutgoingTransfer transfer;
-  transfer.source_mr = source_mr;
-  transfer.destination_address = request.destination_address;
-  transfer.request_nonce = request.request_nonce;
-  transfer.retained_data = request.data.serialize();
-  transfer.channel = std::move(channel);
-  transfer.sequence = next_outgoing_sequence_++;
-  latest_outgoing_[source_mr] = {transfer.sequence, OutgoingState::kPending};
-  outgoing_[transfer_id] = std::move(transfer);
-  return persist_queue();
+uint64_t MigrationEnclave::draw_transfer_id() {
+  const uint64_t id = fresh_id();
+  const bool taken = outgoing_.count(id) != 0 ||
+                     completed_outgoing_.count(id) != 0 ||
+                     inbound_.count(id) != 0;
+  return taken ? 0 : id;
 }
 
-// ----- pipelined outgoing transfers (TransferTask step machine) -----
+// ----- outgoing transfers (TransferTask step machine) -----
 //
-// The same protocol as run_outgoing, decomposed at its network round
-// trips: each step parses the previous reply, advances the task, and
-// posts the next message through the deferred-delivery pump.  N tasks
+// The source side of paper Fig. 2 steps 3-4, decomposed at its network
+// round trips: each step parses the previous reply, advances the task,
+// and posts the next message through the deferred-delivery pump.  N tasks
 // interleave over independent RA channels; the source ME's compute still
 // serializes (one enclave), but wire latency and the destination MEs'
 // work genuinely overlap — which is what turns the orchestrator's
-// in-flight cap into a throughput lever.
+// in-flight cap into a throughput lever.  The blocking kMigrateRequest
+// drives the same steps through pump_inline.
 
 LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
                                             const LibMsg& msg) {
@@ -949,7 +950,8 @@ LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
     reply.status = Status::kTampered;
     return reply;
   }
-  return queue_transfer(session, std::move(request).value(), /*armed=*/true);
+  return queue_transfer(session, std::move(request).value(), /*armed=*/true,
+                        /*durable=*/true);
 }
 
 LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
@@ -969,18 +971,18 @@ LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
   request.destination_address = parsed.value().destination_address;
   request.request_nonce = parsed.value().request_nonce;
   request.policy = parsed.value().policy;
-  return queue_transfer(session, std::move(request), /*armed=*/false);
+  return queue_transfer(session, std::move(request), /*armed=*/false,
+                        /*durable=*/true);
 }
 
 LibMsg MigrationEnclave::queue_transfer(LaSessionState& session,
                                         MigrateRequestPayload request,
-                                        bool armed) {
+                                        bool armed, bool durable) {
   LibMsg reply;
   reply.type = LibMsgType::kError;
   const uint64_t nonce = request.request_nonce;
   if (nonce == 0 || request.destination_address == platform().address()) {
-    // The pipeline is built on nonce-scoped exactly-once semantics;
-    // legacy nonce-less callers must use the blocking path.
+    // The engine is built on nonce-scoped exactly-once semantics.
     reply.status = Status::kInvalidParameter;
     return reply;
   }
@@ -1029,12 +1031,13 @@ LibMsg MigrationEnclave::queue_transfer(LaSessionState& session,
   TransferTask task;
   task.source_mr = mr;
   task.armed = armed;
+  task.durable = durable;
   task.request = std::move(request);
   transfer_tasks_[nonce] = std::move(task);
   // Durable BEFORE the queued ack: a restarted ME must resume this
   // pipeline — the library holds no copy of the conversation, only the
   // right to poll its fate.
-  const Status persisted = persist_queue();
+  const Status persisted = durable ? persist_queue() : Status::kOk;
   if (persisted != Status::kOk) {
     transfer_tasks_.erase(nonce);
     reply.status = persisted;
@@ -1124,7 +1127,7 @@ size_t MigrationEnclave::pump() {
     if (task.step != TransferTask::Step::kFailed) ++live;
   }
   for (const uint64_t nonce : queued) kick_task(nonce);
-  if (async_precopy_) {
+  if (async_precopy()) {
     // Idle pre-copy attempts get their next hop (re)posted — a round
     // record, or the staged finalize once the library committed one.
     std::vector<uint64_t> idle;
@@ -1158,46 +1161,30 @@ void MigrationEnclave::kick_task(uint64_t nonce) {
     fail_task(nonce, Status::kNetworkUnreachable);
     return;
   }
-  const uint64_t transfer_id = fresh_id();
+  const uint64_t transfer_id = draw_transfer_id();
   // An id collision must never clobber live conversation state; the
-  // retryable-busy failure surfaces through the poll and the retry draws
-  // a fresh id (mirrors run_outgoing).
-  if (outgoing_.count(transfer_id) != 0 ||
-      completed_outgoing_.count(transfer_id) != 0 ||
-      inbound_.count(transfer_id) != 0) {
+  // retryable-busy failure surfaces through the poll (or the blocking
+  // reply) and the retry draws a fresh id.
+  if (transfer_id == 0) {
     fail_task(nonce, Status::kAlreadyExists);
     return;
   }
   task.transfer_id = transfer_id;
-  const auto cached = peer_sessions_.find(task.request.destination_address);
-  if (cached != peer_sessions_.end()) {
-    // Migration policy against the CACHED provider-certified credential —
-    // a denial here is as authoritative as one from a fresh handshake.
-    const Status policy_status =
-        task.request.policy.evaluate(cached->second.credential);
-    if (policy_status != Status::kOk) {
-      fail_task(nonce, policy_status);
-      return;
-    }
-    SessionResumeRequest resume;
-    resume.initiator_address = platform().address();
-    resume.responder_epoch = cached->second.peer_epoch;
-    resume.nonce = to_array<16>(rng().bytes(16));
-    resume.mac = resume_request_mac(cached->second.master_key, transfer_id,
-                                    resume.initiator_address,
-                                    resume.responder_epoch, resume.nonce);
-    MeRequest rr;
-    rr.type = MeMsgType::kSessionResume;
-    rr.id = transfer_id;
-    rr.payload = resume.serialize();
+  std::array<uint8_t, 16> nonce_i{};
+  auto resume = resume_request(task.request.destination_address, transfer_id,
+                               task.request.policy, nonce_i);
+  if (resume.ok()) {
     task.step = TransferTask::Step::kAwaitResume;
     trace_task_step(platform(), nonce, "await-resume");
-    const std::array<uint8_t, 16> nonce_i = resume.nonce;
-    net->post(task.request.destination_address + "/me", rr.serialize(),
-              net_endpoint(),
+    net->post(task.request.destination_address + "/me",
+              resume.value().serialize(), net_endpoint(),
               [this, nonce, nonce_i](Result<Bytes> raw) {
                 task_on_resume(nonce, nonce_i, std::move(raw));
               });
+    return;
+  }
+  if (resume.status() != Status::kNoPendingMigration) {
+    fail_task(nonce, resume.status());  // policy denial, cached credential
     return;
   }
   task.ra = std::make_unique<sgx::RaSession>(platform(), identity(),
@@ -1224,79 +1211,43 @@ Result<Bytes> MigrationEnclave::open_task_reply(const Result<Bytes>& raw) {
 }
 
 void MigrationEnclave::task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw) {
-  auto scope = enter_ecall();
+  auto scope = continuation_ecall();
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitRaMsg2) {
     return;  // superseded (restart, re-kick) — the reply is stale
   }
   TransferTask& task = it->second;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) return fail_task(nonce, reply.status());
-  auto msg2 = sgx::RaMsg2::deserialize(reply.value());
-  if (!msg2.ok()) return fail_task(nonce, Status::kTampered);
-  auto msg3 = task.ra->handle_msg2(msg2.value());
-  if (!msg3.ok()) return fail_task(nonce, msg3.status());
-  // The destination ME must run exactly this ME's code (paper §VI-A).
-  if (!(task.ra->peer_identity().mr_enclave == identity().mr_enclave)) {
-    return fail_task(nonce, Status::kIdentityMismatch);
-  }
-  BinaryWriter m3_payload;
-  m3_payload.bytes(msg3.value().serialize());
-  m3_payload.bytes(make_provider_auth(task.ra->transcript_hash()).serialize());
-  MeRequest m3;
-  m3.type = MeMsgType::kRaMsg3;
-  m3.id = task.transfer_id;
-  m3.payload = m3_payload.take();
+  auto m3 = ra_msg3_request(*task.ra, task.transfer_id, raw);
+  if (!m3.ok()) return fail_task(nonce, m3.status());
   task.step = TransferTask::Step::kAwaitAuth;
   trace_task_step(platform(), nonce, "await-auth");
   platform().network()->post(
-      task.request.destination_address + "/me", m3.serialize(), net_endpoint(),
-      [this, nonce](Result<Bytes> raw2) {
+      task.request.destination_address + "/me", m3.value().serialize(),
+      net_endpoint(), [this, nonce](Result<Bytes> raw2) {
         task_on_auth(nonce, std::move(raw2));
       });
 }
 
 void MigrationEnclave::task_on_auth(uint64_t nonce, Result<Bytes> raw) {
-  auto scope = enter_ecall();
+  auto scope = continuation_ecall();
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitAuth) {
     return;
   }
   TransferTask& task = it->second;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) return fail_task(nonce, reply.status());
-  BinaryReader r(reply.value());
-  auto peer_auth = ProviderAuth::deserialize(r.bytes(1u << 16));
-  if (!peer_auth.ok()) return fail_task(nonce, Status::kTampered);
-  const uint64_t peer_epoch = r.u64();
-  if (!r.done()) return fail_task(nonce, Status::kTampered);
-  std::string peer_region;
-  const Status auth_status = verify_provider_auth(
-      peer_auth.value(), task.ra->transcript_hash(),
-      task.request.destination_address, &peer_region);
-  if (auth_status != Status::kOk) return fail_task(nonce, auth_status);
-  // Migration policy against the destination's CERTIFIED attributes.
-  const Status policy_status =
-      task.request.policy.evaluate(peer_auth.value().credential);
-  if (policy_status != Status::kOk) return fail_task(nonce, policy_status);
-
-  task.channel.emplace(task.ra->session_key(),
-                       net::SecureChannel::Role::kInitiator);
-  cache_peer_session(task.request.destination_address, task.ra->session_key(),
-                     peer_epoch, peer_auth.value().credential, peer_region);
-  ++full_handshakes_;
-  if (obs::Observability* obs = enabled_obs(platform())) {
-    obs->metrics.add("me.handshake.full");
-  }
+  auto channel = handshake_channel(*task.ra, task.request.destination_address,
+                                   task.request.policy, raw);
+  if (!channel.ok()) return fail_task(nonce, channel.status());
+  task.channel.emplace(std::move(channel).value());
   task_attested(nonce, task);
 }
 
 void MigrationEnclave::task_on_resume(uint64_t nonce,
                                       std::array<uint8_t, 16> nonce_i,
                                       Result<Bytes> raw) {
-  auto scope = enter_ecall();
+  auto scope = continuation_ecall();
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitResume) {
@@ -1306,34 +1257,19 @@ void MigrationEnclave::task_on_resume(uint64_t nonce,
   // Transport failure: classify like the full path would (the fallback
   // handshake would hit the same dead wire), keeping the cache entry.
   if (!raw.ok()) return fail_task(nonce, raw.status());
-  auto fallback = [&] {
-    // Resume refused or unverifiable: retire the cache entry and restart
-    // the attempt through the full handshake.
-    peer_sessions_.erase(task.request.destination_address);
+  auto channel = resumed_channel(task.request.destination_address,
+                                 task.transfer_id, nonce_i, raw);
+  if (!channel.ok()) {
+    // Resume refused or unverifiable (the cache entry is retired):
+    // restart the attempt through the full handshake.
     task.step = TransferTask::Step::kQueued;
     trace_task_step(platform(), nonce, "requeued");
     task.ra.reset();
     task.channel.reset();
     kick_task(nonce);
-  };
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok() || resp.value().status != Status::kOk) return fallback();
-  auto reply = SessionResumeReply::deserialize(resp.value().payload);
-  if (!reply.ok()) return fallback();
-  const auto cached = peer_sessions_.find(task.request.destination_address);
-  if (cached == peer_sessions_.end()) return fallback();
-  const crypto::CmacTag expected =
-      resume_reply_mac(cached->second.master_key, task.transfer_id, nonce_i,
-                       reply.value().nonce);
-  if (!constant_time_eq(expected, reply.value().mac)) return fallback();
-  task.channel.emplace(
-      derive_resume_key(cached->second.master_key, task.transfer_id, nonce_i,
-                        reply.value().nonce),
-      net::SecureChannel::Role::kInitiator);
-  ++resumed_handshakes_;
-  if (obs::Observability* obs = enabled_obs(platform())) {
-    obs->metrics.add("me.handshake.resumed");
+    return;
   }
+  task.channel.emplace(std::move(channel).value());
   task_attested(nonce, task);
 }
 
@@ -1372,7 +1308,7 @@ void MigrationEnclave::ship_task_payload(uint64_t nonce, TransferTask& task) {
 }
 
 void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
-  auto scope = enter_ecall();
+  auto scope = continuation_ecall();
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end() ||
       it->second.step != TransferTask::Step::kAwaitAccept) {
@@ -1387,10 +1323,10 @@ void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
     return fail_task(nonce, Status::kTampered);
   }
 
-  // Destination accepted: retain until DONE, durably — exactly the
-  // run_outgoing tail.  The task dissolves into the retained transfer
-  // BEFORE the snapshot is cut, so a restore never resurrects both (a
-  // resumed task would re-ship a nonce that is already retained).
+  // Destination accepted: retain until DONE, durably (paper §V-D).  The
+  // task dissolves into the retained transfer BEFORE the snapshot is cut,
+  // so a restore never resurrects both (a resumed task would re-ship a
+  // nonce that is already retained).
   const sgx::Measurement source_mr = task.source_mr;
   const uint64_t transfer_id = task.transfer_id;
   OutgoingTransfer transfer;
@@ -1410,16 +1346,11 @@ void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
   const Status persisted = persist_queue();
   if (persisted != Status::kOk) {
     // The retained entry must not stand non-durable: unwind it AND the
-    // per-identity index entry it brought (a dangling kPending there is
-    // never evicted), then surface the failure through a terminal task
-    // that still carries the real request — a restart resurrects it as
-    // a well-formed kQueued retry, not an empty husk.
-    outgoing_.erase(transfer_id);
-    const auto latest = latest_outgoing_.find(source_mr);
-    if (latest != latest_outgoing_.end() &&
-        latest->second.first == sequence) {
-      latest_outgoing_.erase(latest);
-    }
+    // per-identity index entry it brought, then surface the failure
+    // through a terminal task that still carries the real request — a
+    // restart resurrects it as a well-formed kQueued retry, not an empty
+    // husk.
+    drop_outgoing(outgoing_.find(transfer_id));
     TransferTask failed;
     failed.source_mr = source_mr;
     failed.request = std::move(request);
@@ -1502,23 +1433,9 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
     // budget) and the library must re-drive the finalize synchronously.
     progress.progress = TransferProgress::kInFlight;
   } else {
-    bool accepted = false;
-    for (const auto& [id, transfer] : outgoing_) {
-      if (transfer.source_mr == mr && transfer.request_nonce == nonce) {
-        accepted = true;
-        break;
-      }
-    }
-    if (!accepted) {
-      for (const auto& [id, record] : completed_outgoing_) {
-        if (record.source_mr == mr && record.request_nonce == nonce) {
-          accepted = true;
-          break;
-        }
-      }
-    }
-    progress.progress =
-        accepted ? TransferProgress::kAccepted : TransferProgress::kNone;
+    progress.progress = outgoing_fate(mr, nonce).state == OutgoingState::kNone
+                            ? TransferProgress::kNone
+                            : TransferProgress::kAccepted;
   }
   reply.type = LibMsgType::kTransferProgress;
   reply.status = Status::kOk;
@@ -1620,17 +1537,7 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
     // snapshot per abandoned destination.
     for (auto it = outgoing_.begin(); it != outgoing_.end();) {
       if (it->second.source_mr == mr && it->second.request_nonce == nonce) {
-        secure_wipe(it->second.retained_data);
-        // Keep the per-identity index consistent: an aborted attempt
-        // must read as kNone (like a fresh ME), not linger as a
-        // never-evictable kPending entry.  The re-routed attempt will
-        // re-populate it with its own sequence.
-        const auto latest = latest_outgoing_.find(mr);
-        if (latest != latest_outgoing_.end() &&
-            latest->second.first == it->second.sequence) {
-          latest_outgoing_.erase(latest);
-        }
-        it = outgoing_.erase(it);
+        it = drop_outgoing(it);  // the re-routed attempt re-indexes
         wiped = true;
       } else {
         ++it;
@@ -1763,9 +1670,8 @@ Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
     // send: attest afresh under a new transfer id and re-ship everything
     // merged so far (the destination converges by chunk generation no
     // matter which records were lost).
-    const uint64_t transfer_id = fresh_id();
-    if (inbound_.count(transfer_id) != 0 ||
-        outgoing_.count(transfer_id) != 0) {
+    const uint64_t transfer_id = draw_transfer_id();
+    if (transfer_id == 0) {
       return Status::kAlreadyExists;  // retryable-busy: draw a fresh id
     }
     auto channel = attest_peer_me(destination, transfer_id, policy);
@@ -1775,94 +1681,6 @@ Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
     it->second.resync = it->second.rounds > 0;
   }
   return &it->second;
-}
-
-Status MigrationEnclave::precopy_send(
-    PrecopyOutgoing& attempt, uint64_t nonce,
-    const std::vector<CounterChunk>& fresh_chunks, uint32_t round,
-    bool finalize, const std::vector<ChunkManifestEntry>& manifest,
-    const sgx::Key128& msk) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
-  for (const CounterChunk& chunk : fresh_chunks) {
-    auto merged = attempt.merged.find(chunk.index);
-    if (merged == attempt.merged.end() ||
-        merged->second.generation <= chunk.generation) {
-      attempt.merged[chunk.index] = chunk;
-    }
-  }
-  std::vector<CounterChunk> to_send;
-  if (attempt.resync) {
-    for (const auto& [index, chunk] : attempt.merged) to_send.push_back(chunk);
-  } else {
-    to_send = fresh_chunks;
-  }
-
-  Bytes record;
-  if (finalize) {
-    PrecopyFinalizeRecord fin;
-    fin.source_mr_enclave = attempt.source_mr;
-    fin.source_me_address = platform().address();
-    fin.request_nonce = nonce;
-    fin.round = round;
-    fin.chunks = std::move(to_send);
-    fin.manifest = manifest;
-    fin.msk = msk;
-    record = fin.serialize();
-  } else {
-    PrecopyChunkRecord chunk_record;
-    chunk_record.source_mr_enclave = attempt.source_mr;
-    chunk_record.source_me_address = platform().address();
-    chunk_record.request_nonce = nonce;
-    chunk_record.round = round;
-    chunk_record.chunks = std::move(to_send);
-    record = chunk_record.serialize();
-  }
-  charge_gcm(record.size());
-  MeRequest req;
-  req.type = finalize ? MeMsgType::kPrecopyFinalize : MeMsgType::kPrecopyChunk;
-  req.id = attempt.transfer_id;
-  req.payload = attempt.channel->seal_record(record);
-  auto raw = net->rpc(attempt.destination_address + "/me", req.serialize());
-  Status failure = Status::kOk;
-  Bytes ack_payload;
-  if (!raw.ok()) {
-    failure = raw.status();
-  } else {
-    auto resp = MeResponse::deserialize(raw.value());
-    if (!resp.ok()) {
-      failure = Status::kTampered;
-    } else if (resp.value().status != Status::kOk) {
-      // An authenticated-looking error reply: kPrecopyIncomplete is a
-      // protocol answer (the ML re-ships the full set), everything else
-      // still desyncs the channel (our send advanced the sequence).
-      failure = resp.value().status;
-    } else {
-      ack_payload = resp.value().payload;
-    }
-  }
-  if (failure == Status::kOk) {
-    auto ack = attempt.channel->open_record(ack_payload);
-    if (!ack.ok()) {
-      failure = ack.status();
-    } else if (to_string(ack.value()) !=
-               (finalize ? kPrecopyFinMarker : kPrecopyAckMarker)) {
-      failure = Status::kTampered;
-    }
-  }
-  if (failure != Status::kOk) {
-    // The channel may have desynced (our seal advanced the send sequence,
-    // or the peer's ack advanced its own): drop it so the next attempt
-    // re-attests and re-ships the merged set.  The merged state itself is
-    // kept — and persisted — so an ME restart resumes the pre-copy.
-    attempt.channel.reset();
-    attempt.resync = true;
-    persist_queue();
-    return failure;
-  }
-  attempt.resync = false;
-  ++attempt.rounds;
-  return Status::kOk;
 }
 
 LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
@@ -1875,67 +1693,63 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
     return reply;
   }
   const PrecopyRoundPayload& round = parsed.value();
-  auto attempt = precopy_attempt(session.peer.mr_enclave,
-                                 round.destination_address,
+  // By value: the inline pump can re-enter and erase the session.
+  const sgx::Measurement mr = session.peer.mr_enclave;
+  auto attempt = precopy_attempt(mr, round.destination_address,
                                  round.request_nonce, round.policy);
   if (!attempt.ok()) {
     reply.status = attempt.status();
     return reply;
   }
-  if (async_precopy_) {
-    // Pipelined round hop: merge+persist now, ack the library immediately,
-    // and ship the round to the destination through the deferred-delivery
-    // pump — rounds of different enclaves overlap on the source lane.  The
-    // ack means "merged and durable at the SOURCE ME"; the synchronous
-    // finalize still proves end-to-end completeness via the manifest.
-    PrecopyOutgoing& live = *attempt.value();
-    for (const CounterChunk& chunk : round.chunks) {
-      auto merged = live.merged.find(chunk.index);
-      if (merged == live.merged.end() ||
-          merged->second.generation <= chunk.generation) {
-        live.merged[chunk.index] = chunk;
-      }
-    }
+  merge_chunks(attempt.value()->merged, round.chunks);
+  if (async_precopy()) {
+    // Pipelined round hop: persist the merge, ack the library at once,
+    // and let the hop ship behind the pump — rounds of different enclaves
+    // overlap on the source lane.  The ack means "merged and durable at
+    // the SOURCE ME"; the finalize proves end-to-end completeness via the
+    // manifest.
     const Status persisted = persist_queue();
     if (persisted != Status::kOk) {
       reply.status = persisted;
       return reply;
     }
     kick_precopy_ship(round.request_nonce);
-    reply.type = LibMsgType::kPrecopyAck;
-    reply.status = Status::kOk;
-    return reply;
-  }
-  Status sent =
-      precopy_send(*attempt.value(), round.request_nonce, round.chunks,
-                   round.round, /*finalize=*/false, {}, sgx::Key128{});
-  if (sent == Status::kInvalidState) {
-    // The destination no longer knows this conversation (its staging was
-    // aged out, or its queue wiped): precopy_send already dropped the
-    // channel, so one fresh attempt re-attests under a new transfer id
-    // and re-ships the whole merged set.
-    attempt = precopy_attempt(session.peer.mr_enclave,
-                              round.destination_address, round.request_nonce,
-                              round.policy);
-    if (attempt.ok()) {
-      sent = precopy_send(*attempt.value(), round.request_nonce, round.chunks,
-                          round.round, /*finalize=*/false, {}, sgx::Key128{});
-    } else {
-      sent = attempt.status();
+  } else {
+    Status shipped = ship_precopy_round_inline(round.request_nonce);
+    if (shipped == Status::kInvalidState) {
+      // The destination no longer knows this conversation (its staging
+      // was aged out, or its queue wiped): the failed hop dropped the
+      // channel, so one fresh attempt re-attests under a new transfer id
+      // and re-ships the whole merged set.
+      attempt = precopy_attempt(mr, round.destination_address,
+                                round.request_nonce, round.policy);
+      shipped = attempt.ok() ? ship_precopy_round_inline(round.request_nonce)
+                             : attempt.status();
     }
-  }
-  if (sent != Status::kOk) {
-    reply.status = sent;
-    return reply;
-  }
-  const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    reply.status = persisted;
-    return reply;
+    if (shipped != Status::kOk) {
+      reply.status = shipped;
+      return reply;
+    }
+    const Status persisted = persist_queue();
+    if (persisted != Status::kOk) {
+      reply.status = persisted;
+      return reply;
+    }
   }
   reply.type = LibMsgType::kPrecopyAck;
   reply.status = Status::kOk;
   return reply;
+}
+
+std::vector<CounterChunk> MigrationEnclave::PrecopyOutgoing::unacked() const {
+  std::vector<CounterChunk> chunks;
+  for (const auto& [index, chunk] : merged) {
+    const auto front = acked.find(index);
+    if (resync || front == acked.end() || front->second < chunk.generation) {
+      chunks.push_back(chunk);
+    }
+  }
+  return chunks;
 }
 
 void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
@@ -1957,20 +1771,12 @@ void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
   // One record per attempt in flight at a time (the channel's record
   // sequence demands ordering); ship everything merged beyond what the
   // destination has acked.
-  std::vector<CounterChunk> to_send;
-  std::vector<ChunkManifestEntry> shipped;
-  for (const auto& [index, chunk] : attempt.merged) {
-    const auto acked = attempt.acked.find(index);
-    if (attempt.resync || acked == attempt.acked.end() ||
-        acked->second < chunk.generation) {
-      to_send.push_back(chunk);
-      ChunkManifestEntry entry;
-      entry.index = index;
-      entry.generation = chunk.generation;
-      shipped.push_back(entry);
-    }
-  }
+  std::vector<CounterChunk> to_send = attempt.unacked();
   if (to_send.empty()) return;
+  std::vector<ChunkManifestEntry> shipped;
+  for (const CounterChunk& chunk : to_send) {
+    shipped.push_back({chunk.index, chunk.generation});
+  }
   PrecopyChunkRecord record;
   record.source_mr_enclave = attempt.source_mr;
   record.source_me_address = platform().address();
@@ -1994,36 +1800,46 @@ void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
             });
 }
 
+MigrationEnclave::PrecopyOutgoing* MigrationEnclave::land_precopy_ack(
+    uint64_t nonce, uint64_t transfer_id, PrecopyOutgoing::ShipStep step,
+    const char* marker, const Result<Bytes>& raw) {
+  const auto it = precopy_outgoing_.find(nonce);
+  if (it == precopy_outgoing_.end()) return nullptr;  // finalized/aborted
+  PrecopyOutgoing& attempt = it->second;
+  if (attempt.ship_step != step || attempt.transfer_id != transfer_id) {
+    return nullptr;  // superseded by a resync re-attest — stale ack
+  }
+  attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
+  auto reply = open_task_reply(raw);
+  if (!reply.ok()) {
+    attempt.ship_failure = reply.status();
+  } else if (!attempt.channel.has_value()) {
+    attempt.ship_failure = Status::kInvalidState;
+  } else {
+    auto ack = attempt.channel->open_record(reply.value());
+    attempt.ship_failure = !ack.ok() ? ack.status()
+                           : to_string(ack.value()) != marker
+                               ? Status::kTampered
+                               : Status::kOk;
+  }
+  return &attempt;
+}
+
 void MigrationEnclave::precopy_on_round_ack(
     uint64_t nonce, uint64_t transfer_id,
     const std::vector<ChunkManifestEntry>& shipped, Result<Bytes> raw) {
-  auto scope = enter_ecall();
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;  // finalized/aborted meanwhile
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kAwaitRoundAck ||
-      attempt.transfer_id != transfer_id) {
-    return;  // superseded by a finalize resync or re-attest — stale ack
-  }
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  Status failure = Status::kOk;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) {
-    failure = reply.status();
-  } else if (!attempt.channel.has_value()) {
-    failure = Status::kInvalidState;
-  } else {
-    auto ack = attempt.channel->open_record(reply.value());
-    if (!ack.ok()) {
-      failure = ack.status();
-    } else if (to_string(ack.value()) != kPrecopyAckMarker) {
-      failure = Status::kTampered;
-    }
-  }
-  if (failure != Status::kOk) {
-    // Same recovery as the synchronous path: the channel may have
-    // desynced, so drop it and resync over a fresh attestation on the
-    // next round or the finalize.  Merged state stays durable.
+  auto scope = continuation_ecall();
+  PrecopyOutgoing* const landed =
+      land_precopy_ack(nonce, transfer_id,
+                       PrecopyOutgoing::ShipStep::kAwaitRoundAck,
+                       kPrecopyAckMarker, raw);
+  if (landed == nullptr) return;
+  PrecopyOutgoing& attempt = *landed;
+  if (attempt.ship_failure != Status::kOk) {
+    // The channel may have desynced (our seal advanced the send sequence,
+    // or the peer's ack advanced its own): drop it and resync over a
+    // fresh attestation on the next round or the finalize.  The merged
+    // state itself is kept — and persisted — so an ME restart resumes.
     attempt.channel.reset();
     attempt.resync = true;
     persist_queue();
@@ -2049,8 +1865,8 @@ void MigrationEnclave::precopy_on_round_ack(
 }
 
 namespace {
-// How often the async ship re-posts a failed finalize (re-attesting each
-// time) before handing the attempt back to the library's sync fallback.
+// How often a failed finalize is re-posted (re-attesting each time)
+// before the attempt is handed back to the library.
 constexpr uint32_t kFinalizeShipAttempts = 3;
 }  // namespace
 
@@ -2070,9 +1886,11 @@ void MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
         precopy_attempt(attempt.source_mr, attempt.destination_address, nonce,
                         attempt.staged_finalize->policy);
     if (!fresh.ok()) {
+      attempt.ship_failure = fresh.status();
       if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
-        // Hand back to the library: its poll observes kNone and the still
-        // frozen enclave re-drives the finalize synchronously (dedup'd).
+        // Hand back to the library: its poll observes kNone (a
+        // synchronous finalize replies the failure) and the still frozen
+        // enclave re-drives the finalize (dedup'd).
         attempt.staged_finalize.reset();
       }
       return;
@@ -2081,20 +1899,12 @@ void MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
   // Everything merged beyond the destination's acked front rides inside
   // the finalize record (on resync: the whole merged set); the manifest
   // check at the destination proves completeness either way.
-  std::vector<CounterChunk> to_send;
-  for (const auto& [index, chunk] : attempt.merged) {
-    const auto acked = attempt.acked.find(index);
-    if (attempt.resync || acked == attempt.acked.end() ||
-        acked->second < chunk.generation) {
-      to_send.push_back(chunk);
-    }
-  }
   PrecopyFinalizeRecord record;
   record.source_mr_enclave = attempt.source_mr;
   record.source_me_address = platform().address();
   record.request_nonce = nonce;
   record.round = attempt.staged_finalize->round;
-  record.chunks = std::move(to_send);
+  record.chunks = attempt.unacked();
   record.manifest = attempt.staged_finalize->manifest;
   record.msk = attempt.staged_finalize->msk;
   const Bytes record_bytes = record.serialize();
@@ -2114,34 +1924,18 @@ void MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
 void MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
                                                uint64_t transfer_id,
                                                Result<Bytes> raw) {
-  auto scope = enter_ecall();
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;  // aborted meanwhile
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kAwaitFinalizeAck ||
-      attempt.transfer_id != transfer_id) {
-    return;  // superseded by a resync re-attest — stale ack
-  }
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
+  auto scope = continuation_ecall();
+  PrecopyOutgoing* const landed =
+      land_precopy_ack(nonce, transfer_id,
+                       PrecopyOutgoing::ShipStep::kAwaitFinalizeAck,
+                       kPrecopyFinMarker, raw);
+  if (landed == nullptr) return;
+  PrecopyOutgoing& attempt = *landed;
   if (!attempt.staged_finalize.has_value()) return;
-  Status failure = Status::kOk;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) {
-    failure = reply.status();
-  } else if (!attempt.channel.has_value()) {
-    failure = Status::kInvalidState;
-  } else {
-    auto ack = attempt.channel->open_record(reply.value());
-    if (!ack.ok()) {
-      failure = ack.status();
-    } else if (to_string(ack.value()) != kPrecopyFinMarker) {
-      failure = Status::kTampered;
-    }
-  }
-  if (failure != Status::kOk) {
+  if (attempt.ship_failure != Status::kOk) {
     // kPrecopyIncomplete included: resync re-ships the full merged set
-    // under a fresh attestation on the next pump kick.  Past the ship
-    // budget, hand the attempt back to the library's sync fallback.
+    // under a fresh attestation on the next kick.  Past the ship budget,
+    // hand the attempt back to the library.
     attempt.channel.reset();
     attempt.resync = true;
     if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
@@ -2151,16 +1945,13 @@ void MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
     return;
   }
   const PrecopyFinalizePayload fin = std::move(*attempt.staged_finalize);
-  const sgx::Measurement source_mr = attempt.source_mr;
-  // Invalidates `attempt`; the library's poll now observes kAccepted.
-  (void)finish_precopy_outgoing(source_mr, fin);
+  // Invalidates `attempt`; the library now observes kAccepted.
+  finish_precopy_outgoing(nonce, fin);
 }
 
-Status MigrationEnclave::finish_precopy_outgoing(
-    const sgx::Measurement& source_mr, const PrecopyFinalizePayload& fin) {
-  const auto it = precopy_outgoing_.find(fin.request_nonce);
-  if (it == precopy_outgoing_.end()) return Status::kInvalidState;
-  PrecopyOutgoing& live = it->second;
+void MigrationEnclave::finish_precopy_outgoing(
+    uint64_t nonce, const PrecopyFinalizePayload& fin) {
+  PrecopyOutgoing& live = precopy_outgoing_.at(nonce);
   // The destination assembled the authoritative snapshot: retain the
   // equivalent full copy until DONE, exactly like a full-snapshot
   // transfer (§V-D), and retire the pre-copy attempt.
@@ -2177,9 +1968,9 @@ Status MigrationEnclave::finish_precopy_outgoing(
     }
   }
   OutgoingTransfer transfer;
-  transfer.source_mr = source_mr;
+  transfer.source_mr = live.source_mr;
   transfer.destination_address = live.destination_address;
-  transfer.request_nonce = fin.request_nonce;
+  transfer.request_nonce = nonce;
   transfer.retained_data = assembled.serialize();
   transfer.channel = std::move(live.channel);
   transfer.sequence = next_outgoing_sequence_++;
@@ -2187,8 +1978,8 @@ Status MigrationEnclave::finish_precopy_outgoing(
   latest_outgoing_[transfer.source_mr] = {transfer.sequence,
                                           OutgoingState::kPending};
   outgoing_[transfer_id] = std::move(transfer);
-  precopy_outgoing_.erase(fin.request_nonce);
-  return persist_queue();
+  precopy_outgoing_.erase(nonce);
+  persist_queue();
 }
 
 LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
@@ -2201,106 +1992,126 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
     return reply;
   }
   const PrecopyFinalizePayload& fin = parsed.value();
+  const sgx::Measurement& mr = session.peer.mr_enclave;
   // Idempotent re-finalize: if this attempt already became a retained (or
   // completed) transfer — the previous reply was lost — acknowledge
-  // without shipping again (mirror of run_outgoing's nonce dedup).
-  for (const auto& [id, transfer] : outgoing_) {
-    if (transfer.source_mr == session.peer.mr_enclave &&
-        transfer.request_nonce == fin.request_nonce) {
+  // without shipping again (re-fencing a retained entry, like
+  // dedup_against_queue).
+  const OutgoingFate fate = outgoing_fate(mr, fin.request_nonce);
+  if (fate.state != OutgoingState::kNone) {
+    reply.status = fate.retained != nullptr ? persist_queue() : Status::kOk;
+    if (reply.status == Status::kOk) {
       reply.type = LibMsgType::kFinalizeAccepted;
-      reply.status = persist_queue();
-      if (reply.status != Status::kOk) reply.type = LibMsgType::kError;
-      return reply;
     }
+    return reply;
   }
-  for (const auto& [id, record] : completed_outgoing_) {
-    if (record.source_mr == session.peer.mr_enclave &&
-        record.request_nonce == fin.request_nonce) {
-      reply.type = LibMsgType::kFinalizeAccepted;
-      reply.status = Status::kOk;
-      return reply;
-    }
-  }
-  // A posted round record may still be in flight for this attempt; a
-  // synchronous finalize would overtake it on the wire and desync the
-  // channel's record sequence, so abandon that channel and resync over a
-  // fresh attestation — the stale ack is ignored by transfer id.  The
-  // ASYNC finalize instead queues behind the round: its ack continuation
-  // kicks the staged finalize in order on the same channel.
-  const auto inflight = precopy_outgoing_.find(fin.request_nonce);
-  if (!async_precopy_ && inflight != precopy_outgoing_.end() &&
-      inflight->second.ship_step ==
-          PrecopyOutgoing::ShipStep::kAwaitRoundAck) {
-    inflight->second.channel.reset();
-    inflight->second.resync = true;
-    inflight->second.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  }
-  auto attempt = precopy_attempt(session.peer.mr_enclave,
-                                 fin.destination_address, fin.request_nonce,
-                                 fin.policy);
+  auto attempt = precopy_attempt(mr, fin.destination_address,
+                                 fin.request_nonce, fin.policy);
   if (!attempt.ok()) {
     reply.status = attempt.status();
     return reply;
   }
-  if (async_precopy_) {
-    // Pipelined finalize hop: merge + stage + ack the library immediately
-    // with kMigrateQueued — the sealed finalize record ships through the
-    // deferred pump, finalize ships of different enclaves overlap on the
-    // source lane, and the library stays frozen polling its fate (the
-    // freeze ends only once the destination's accept is observed).
-    PrecopyOutgoing& live = *attempt.value();
-    for (const CounterChunk& chunk : fin.chunks) {
-      auto merged = live.merged.find(chunk.index);
-      if (merged == live.merged.end() ||
-          merged->second.generation <= chunk.generation) {
-        live.merged[chunk.index] = chunk;
-      }
-    }
-    live.staged_finalize = fin;
-    live.finalize_attempts = 0;
-    // The final delta is durable before the queued-ack, like every round;
-    // only the manifest+msk envelope is memory-only (restart => the
-    // frozen library re-finalizes synchronously, dedup'd by nonce).
-    const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      live.staged_finalize.reset();
-      reply.status = persisted;
+  PrecopyOutgoing& live = *attempt.value();
+  merge_chunks(live.merged, fin.chunks);
+  // Staged behind any round still on the wire: the round's ack
+  // continuation kicks the finalize in order on the same channel.
+  live.staged_finalize = fin;
+  live.finalize_attempts = 0;
+  if (!async_precopy()) {
+    const Status shipped = ship_precopy_finalize_inline(fin.request_nonce);
+    if (shipped != Status::kOk) {
+      reply.status = shipped;
       return reply;
     }
-    kick_precopy_ship(fin.request_nonce);
-    reply.type = LibMsgType::kMigrateQueued;
+    reply.type = LibMsgType::kFinalizeAccepted;
     reply.status = Status::kOk;
     return reply;
   }
-  Status sent =
-      precopy_send(*attempt.value(), fin.request_nonce, fin.chunks, fin.round,
-                   /*finalize=*/true, fin.manifest, fin.msk);
-  if (sent == Status::kInvalidState) {
-    // Destination lost the conversation (aged-out staging / wiped
-    // queue): re-attest once and re-ship the merged set (mirrors
-    // on_precopy_round).
-    attempt = precopy_attempt(session.peer.mr_enclave, fin.destination_address,
-                              fin.request_nonce, fin.policy);
-    if (attempt.ok()) {
-      sent = precopy_send(*attempt.value(), fin.request_nonce, fin.chunks,
-                          fin.round, /*finalize=*/true, fin.manifest, fin.msk);
-    } else {
-      sent = attempt.status();
-    }
-  }
-  if (sent != Status::kOk) {
-    reply.status = sent;
+  // Pipelined finalize hop: ack the library immediately with
+  // kMigrateQueued — finalize ships of different enclaves overlap on the
+  // source lane, and the library stays frozen polling its fate (the
+  // freeze ends only once the destination's accept is observed).  The
+  // final delta is durable before the queued-ack, like every round; only
+  // the manifest+msk envelope is memory-only (restart => the frozen
+  // library re-finalizes, dedup'd by nonce).
+  const Status persisted = persist_queue();
+  if (persisted != Status::kOk) {
+    live.staged_finalize.reset();
+    reply.status = persisted;
     return reply;
   }
-  const Status finished =
-      finish_precopy_outgoing(session.peer.mr_enclave, fin);
-  if (finished != Status::kOk) {
-    reply.status = finished;
-    return reply;
-  }
-  reply.type = LibMsgType::kFinalizeAccepted;
+  kick_precopy_ship(fin.request_nonce);
+  reply.type = LibMsgType::kMigrateQueued;
   reply.status = Status::kOk;
   return reply;
+}
+
+// ----- synchronous hops: the step machines pumped inside one ecall -----
+
+std::optional<sgx::Enclave::EcallScope>
+MigrationEnclave::continuation_ecall() {
+  if (pumping_inline_) return std::nullopt;
+  return std::optional<EcallScope>(std::in_place, platform());
+}
+
+bool MigrationEnclave::can_pump_inline() {
+  const auto* net = platform().network();
+  return net == nullptr || !net->lane_scheduled();
+}
+
+bool MigrationEnclave::async_precopy() {
+  return async_precopy_ || !can_pump_inline();
+}
+
+bool MigrationEnclave::precopy_settled(uint64_t nonce) const {
+  const auto it = precopy_outgoing_.find(nonce);
+  return it == precopy_outgoing_.end() ||
+         it->second.ship_step == PrecopyOutgoing::ShipStep::kIdle;
+}
+
+bool MigrationEnclave::pump_inline(const std::function<bool()>& done) {
+  auto* net = platform().network();
+  const bool outer = pumping_inline_;
+  pumping_inline_ = true;
+  bool reached = done();
+  while (!reached && net != nullptr && net->pump_one()) reached = done();
+  pumping_inline_ = outer;
+  return reached;
+}
+
+Status MigrationEnclave::ship_precopy_round_inline(uint64_t nonce) {
+  // Nothing dirty posts nothing, and there is nothing to wait for.
+  precopy_outgoing_.at(nonce).ship_failure = Status::kOk;
+  kick_precopy_ship(nonce);
+  if (!pump_inline([this, nonce] { return precopy_settled(nonce); })) {
+    return Status::kNetworkUnreachable;
+  }
+  const auto it = precopy_outgoing_.find(nonce);
+  if (it == precopy_outgoing_.end()) return Status::kMigrationAborted;
+  return it->second.ship_failure;
+}
+
+Status MigrationEnclave::ship_precopy_finalize_inline(uint64_t nonce) {
+  const auto settled = [this, nonce] { return precopy_settled(nonce); };
+  while (true) {
+    // A round still on the wire lands first; its ack kicks the finalize.
+    if (!pump_inline(settled)) return Status::kNetworkUnreachable;
+    const auto it = precopy_outgoing_.find(nonce);
+    if (it == precopy_outgoing_.end()) return Status::kOk;  // retired
+    PrecopyOutgoing& attempt = it->second;
+    // Ship budget spent: the attempt stays (channel dropped, resync set)
+    // for the library's next finalize.
+    if (!attempt.staged_finalize.has_value()) return attempt.ship_failure;
+    // A failed re-attest spends budget without posting; a kick that
+    // neither posts nor spends budget can never make progress.
+    const uint32_t tries = attempt.finalize_attempts;
+    kick_precopy_finalize(nonce);
+    if (attempt.ship_step == PrecopyOutgoing::ShipStep::kIdle &&
+        attempt.staged_finalize.has_value() &&
+        attempt.finalize_attempts == tries) {
+      return Status::kNetworkUnreachable;
+    }
+  }
 }
 
 // ----- incoming migration (destination side) -----
@@ -2474,15 +2285,7 @@ MigrationEnclave::PrecopyStaging& MigrationEnclave::merge_precopy_staging(
     if (entry.transfer_id != 0) inbound_.erase(entry.transfer_id);
     entry.transfer_id = transfer_id;
   }
-  // Merge by generation: replayed or re-shipped chunks are idempotent,
-  // later generations win.
-  for (const CounterChunk& chunk : chunks) {
-    const auto merged = entry.chunks.find(chunk.index);
-    if (merged == entry.chunks.end() ||
-        merged->second.generation <= chunk.generation) {
-      entry.chunks[chunk.index] = chunk;
-    }
-  }
+  merge_chunks(entry.chunks, chunks);
   entry.last_update = platform().clock().now();
   return entry;
 }
@@ -2705,32 +2508,17 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
   // (a completion record under another nonce), none that this attempt
   // won.  A restarted ME re-ships retained entries, so leaving a
   // superseded one behind would re-create the orphan at its destination.
-  const auto superseded = [this](const sgx::Measurement& mr, uint64_t nonce) {
-    bool newer_completed = false;
-    for (const auto& [id, record] : completed_outgoing_) {
-      if (!(record.source_mr == mr)) continue;
-      if (record.request_nonce == nonce) return false;  // this attempt won
-      newer_completed = true;
-    }
-    return newer_completed;
-  };
   size_t expired = 0;
   for (auto it = outgoing_.begin(); it != outgoing_.end();) {
-    if (superseded(it->second.source_mr, it->second.request_nonce)) {
-      secure_wipe(it->second.retained_data);
-      const auto latest = latest_outgoing_.find(it->second.source_mr);
-      if (latest != latest_outgoing_.end() &&
-          latest->second.first == it->second.sequence) {
-        latest_outgoing_.erase(latest);
-      }
-      it = outgoing_.erase(it);
+    if (moved_on(it->second.source_mr, it->second.request_nonce)) {
+      it = drop_outgoing(it);
       ++expired;
     } else {
       ++it;
     }
   }
   for (auto it = transfer_tasks_.begin(); it != transfer_tasks_.end();) {
-    if (superseded(it->second.source_mr, it->first)) {
+    if (moved_on(it->second.source_mr, it->first)) {
       it = transfer_tasks_.erase(it);
       ++expired;
     } else {
@@ -2738,7 +2526,7 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
     }
   }
   for (auto it = precopy_outgoing_.begin(); it != precopy_outgoing_.end();) {
-    if (superseded(it->second.source_mr, it->first)) {
+    if (moved_on(it->second.source_mr, it->first)) {
       it = precopy_outgoing_.erase(it);
       ++expired;
     } else {
@@ -2761,35 +2549,18 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
   const sgx::Measurement& mr = parsed.value().source_mr_enclave;
   const uint64_t nonce = parsed.value().request_nonce;
 
-  bool nonce_live = false;
-  for (const auto& [id, transfer] : outgoing_) {
-    if (transfer.source_mr == mr && transfer.request_nonce == nonce) {
-      nonce_live = true;
-    }
-  }
   const auto precopy = precopy_outgoing_.find(nonce);
-  if (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr) {
-    nonce_live = true;
-  }
-  bool nonce_completed = false;
-  bool newer_completed = false;
-  for (const auto& [id, record] : completed_outgoing_) {
-    if (!(record.source_mr == mr)) continue;
-    if (record.request_nonce == nonce) {
-      nonce_completed = true;
-    } else {
-      newer_completed = true;
-    }
-  }
+  const bool nonce_live =
+      outgoing_fate(mr, nonce).state == OutgoingState::kPending ||
+      (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr);
   // Superseded = this ME has POSITIVE evidence the identity moved on (a
   // completed transfer under another nonce) and no live or completed
   // record of the queried attempt.  Anything ambiguous — including a
   // wiped history, where the pending copy might be the only one left —
   // keeps the entry.
-  const ReconcileVerdict verdict =
-      (!nonce_live && !nonce_completed && newer_completed)
-          ? ReconcileVerdict::kSuperseded
-          : ReconcileVerdict::kStillLive;
+  const ReconcileVerdict verdict = (!nonce_live && moved_on(mr, nonce))
+                                       ? ReconcileVerdict::kSuperseded
+                                       : ReconcileVerdict::kStillLive;
   BinaryWriter w;
   w.str(kReconcileMarker);
   w.u8(static_cast<uint8_t>(verdict));
@@ -3034,8 +2805,11 @@ Bytes MigrationEnclave::serialize_queue() const {
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
   // every pipeline from the attest step under a fresh transfer id.
-  w.u32(static_cast<uint32_t>(transfer_tasks_.size()));
+  uint32_t durable_tasks = 0;
+  for (const auto& [nonce, t] : transfer_tasks_) durable_tasks += t.durable;
+  w.u32(durable_tasks);
   for (const auto& [nonce, t] : transfer_tasks_) {
+    if (!t.durable) continue;
     w.u64(nonce);
     w.fixed(t.source_mr);
     w.bytes(t.request.serialize());

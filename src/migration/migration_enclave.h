@@ -67,19 +67,22 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Untrusted dispatcher entry point: raw request from the network.
   Result<Bytes> handle_request(ByteView raw);
 
-  // ----- pipelined outgoing transfers -----
+  // ----- outgoing transfers (one engine) -----
   //
-  // A kMigrateEnqueue request queues a per-transfer TransferTask instead
-  // of running the ME<->ME conversation inline: the task decomposes the
-  // old run_outgoing call chain into resumable steps (attest msg1/msg3 ->
-  // ship -> await-ack -> retained) whose round trips travel through
+  // Every outgoing full snapshot runs as a per-transfer TransferTask:
+  // resumable steps (attest msg1/msg3 or cached resume -> ship ->
+  // await-accept -> retained) whose round trips travel through
   // net::Network::post, so N concurrent outgoing transfers interleave
-  // over independent RA channels instead of serializing.  Tasks are part
-  // of the durable queue from the moment they are queued: a restarted
-  // ME resumes every in-flight pipeline (re-attesting under a fresh
-  // transfer id; the request nonce makes re-ships exactly-once end to
-  // end).  Terminal failures are held until the library polls them
-  // (kPollTransfer), mapping onto the existing retry classification.
+  // over independent RA channels instead of serializing.
+  //  * kMigrateEnqueue / kMigrateReserve queue the task durably and reply
+  //    at once; a restarted ME resumes every in-flight pipeline
+  //    (re-attesting under a fresh transfer id; the request nonce makes
+  //    re-ships exactly-once end to end).  Terminal failures are held
+  //    until the library polls them (kPollTransfer).
+  //  * the blocking kMigrateRequest inserts the same task and pumps the
+  //    network inside its own ecall until the task is retained or failed,
+  //    then replies kMigrateAccepted / kError.  The library still holds
+  //    the data, so the task is not sealed before the accept.
 
   /// Re-issues the next step of every task that is not awaiting a reply
   /// (freshly queued, restored from the durable queue after a restart, or
@@ -89,12 +92,15 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   size_t transfer_task_count() const { return transfer_tasks_.size(); }
 
-  /// Ships pre-copy ROUND hops through Network::post/pump() like
-  /// TransferTask steps instead of a synchronous rpc: kPrecopyRound is
-  /// acked as soon as the chunks are merged + persisted at the SOURCE ME,
-  /// and the wire hop to the destination overlaps with every other lane.
-  /// The finalize stays synchronous (it is the freeze-window tail and must
-  /// not race an in-flight round — it resyncs the full merged set).
+  /// Pre-copy round and finalize hops always ship through the same
+  /// Network::post step machine (kick_precopy_ship / kick_precopy_finalize);
+  /// this only picks WHEN the library hears back.  On: kPrecopyRound is
+  /// acked once the chunks are merged + persisted at the SOURCE ME and
+  /// kPrecopyFinalizeReq replies kMigrateQueued (the library polls the
+  /// fate), so hops of different enclaves overlap on the wire.  Off: the
+  /// handler pumps the hop to completion inside its own ecall and replies
+  /// with the destination's verdict — except while a lane schedule owns
+  /// the wire (a pipelined orchestrator), where it replies as if on.
   void set_async_precopy(bool on) { async_precopy_ = on; }
 
   /// Freeze-aware arm pacing: at most this many armed payloads may be in
@@ -285,23 +291,27 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// re-attests under a fresh transfer id and re-ships the whole merged
     /// set, so the destination converges no matter what was lost.
     bool resync = false;
-    // --- async round shipping (set_async_precopy) ---
+    // --- round / finalize shipping (memory-only) ---
     enum class ShipStep : uint8_t {
       kIdle = 0,           // nothing posted; kick when dirty > acked
       kAwaitRoundAck = 1,  // a sealed round record is in flight
       kAwaitFinalizeAck = 2  // the sealed finalize record is in flight
     };
     ShipStep ship_step = ShipStep::kIdle;
-    /// Highest generation per chunk index the destination ACKed; the
-    /// async ship sends merged entries newer than this (all, on resync).
+    /// Highest generation per chunk index the destination ACKed.
     std::map<uint32_t, uint64_t> acked;
-    /// Async-mode staged finalize, memory-only BY DESIGN: the record
-    /// ships through the deferred pump like a round hop while the library
-    /// polls its fate.  An ME restart (or an exhausted ship budget) drops
-    /// it — the still-frozen library observes kNone and re-drives the
-    /// finalize synchronously, which the nonce dedup makes idempotent.
+    /// Merged chunks beyond the acked front (all of them on resync): what
+    /// the next round or finalize record carries.
+    std::vector<CounterChunk> unacked() const;
+    /// Staged finalize, memory-only BY DESIGN: the record ships through
+    /// the deferred pump like a round hop.  An ME restart (or an
+    /// exhausted ship budget) drops it — the still-frozen library
+    /// observes kNone (async) or the failure (sync) and re-drives the
+    /// finalize, which the nonce dedup makes idempotent.
     std::optional<PrecopyFinalizePayload> staged_finalize;
     uint32_t finalize_attempts = 0;  // memory-only ship retry budget
+    /// Why the last hop failed: the synchronous reply's status.
+    Status ship_failure = Status::kOk;
   };
   /// Destination-side staging of one pre-copy attempt, keyed by enclave
   /// identity: chunks merged by generation across rounds.  Durable; only
@@ -316,11 +326,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// age-based sweep of staging whose source went away for good.
     Duration last_update{};
   };
-  /// One pipelined outgoing transfer, keyed by the library's request
-  /// nonce: the old run_outgoing call chain as resumable steps.  The
-  /// payload is durable from kQueued on; the RA session and channel are
-  /// per-attempt state — a restarted ME re-runs the attest from scratch
-  /// under a fresh transfer id (the nonce keeps it exactly-once).
+  /// One outgoing full-snapshot transfer, keyed by the library's request
+  /// nonce, as resumable steps.  A queued task's payload is durable from
+  /// kQueued on; the RA session and channel are per-attempt state — a
+  /// restarted ME re-runs the attest from scratch under a fresh transfer
+  /// id (the nonce keeps it exactly-once).
   struct TransferTask {
     enum class Step : uint8_t {
       kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing)
@@ -342,6 +352,9 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// empty until the library freezes and arms the task (kMigrateArm);
     /// the poll reports kSlotLive once the destination is attested.
     bool armed = true;
+    /// false: a blocking kMigrateRequest's task.  The blocked library
+    /// still holds the data, so no queue snapshot carries it.
+    bool durable = true;
   };
   /// Compact durable record of a confirmed outgoing transfer: enough to
   /// answer status queries and absorb duplicate DONEs idempotently after
@@ -403,25 +416,43 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   LibMsg on_precopy_finalize_req(LaSessionState& session, const LibMsg& msg);
   LibMsg on_migrate_enqueue(LaSessionState& session, const LibMsg& msg);
   LibMsg on_migrate_reserve(LaSessionState& session, const LibMsg& msg);
-  /// Shared body of enqueue (armed: the payload rides along) and reserve
-  /// (unarmed: the task parks at kAwaitArm): nonce and self-address
-  /// checks, dedup against the queue, idempotent re-queue of an existing
-  /// task, and the persist-then-kick insert.
+  /// Shared body of enqueue (armed: the payload rides along), reserve
+  /// (unarmed: the task parks at kAwaitArm) and the blocking request
+  /// (armed, not durable): nonce and self-address checks, dedup against
+  /// the queue, idempotent re-queue of an existing task, and the
+  /// persist-then-kick insert (the persist only for durable tasks).
   LibMsg queue_transfer(LaSessionState& session,
-                        MigrateRequestPayload request, bool armed);
+                        MigrateRequestPayload request, bool armed,
+                        bool durable);
   LibMsg on_migrate_arm(LaSessionState& session, const LibMsg& msg);
   LibMsg on_poll_transfer(LaSessionState& session, const LibMsg& msg);
   LibMsg on_abort_stale(LaSessionState& session, const LibMsg& msg);
 
   // ----- TransferTask step machine -----
-  /// Front-of-queue validation + dedup shared with run_outgoing: kOk when
-  /// (source_mr, nonce, destination) is already retained or completed (the
-  /// poll will report kAccepted), kNoPendingMigration when it is unknown.
+  /// Where (source_mr, nonce) stands on this ME's source side: kPending
+  /// when retained in outgoing_ (`retained` points at the entry),
+  /// kCompleted when only its completion record is left, kNone when
+  /// unknown.  The one exactly-once lookup every nonce-scoped reply uses.
+  struct OutgoingFate {
+    OutgoingState state = OutgoingState::kNone;
+    const OutgoingTransfer* retained = nullptr;
+  };
+  OutgoingFate outgoing_fate(const sgx::Measurement& source_mr,
+                             uint64_t nonce) const;
+  /// Front-of-queue dedup shared by the blocking and queued entries: kOk
+  /// when (source_mr, nonce, destination) is already retained (re-fenced)
+  /// or completed (the poll will report kAccepted), kNoPendingMigration
+  /// when it is unknown.
   Status dedup_against_queue(const sgx::Measurement& source_mr,
                              uint64_t nonce,
                              const std::string& destination_address);
+  /// Wire id for a new ME<->ME conversation; 0 when the draw collides
+  /// with a live or completed conversation (retryable-busy: the caller's
+  /// retry draws again).  A reused completed id would make on_done absorb
+  /// the real DONE as a duplicate and never release the retained copy.
+  uint64_t draw_transfer_id();
   /// (Re-)issues the pending step of one kQueued task: draws a fresh
-  /// transfer id and posts RA msg1.
+  /// transfer id and posts RA msg1 (or a cached-session resume).
   void kick_task(uint64_t nonce);
   void task_on_ra_msg2(uint64_t nonce, Result<Bytes> raw);
   void task_on_auth(uint64_t nonce, Result<Bytes> raw);
@@ -438,7 +469,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Seals + posts the task's TransferPayload (the tail of task_on_auth,
   /// shared with on_migrate_arm) -> kAwaitAccept.
   void ship_task_payload(uint64_t nonce, TransferTask& task);
-  // ----- async pre-copy round shipping -----
+  // ----- pre-copy round shipping -----
   /// Posts the next sealed round record of one idle attempt with unacked
   /// merged chunks (or a full resync set); no-op when nothing is dirty.
   void kick_precopy_ship(uint64_t nonce);
@@ -450,11 +481,43 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   void kick_precopy_finalize(uint64_t nonce);
   void precopy_on_finalize_ack(uint64_t nonce, uint64_t transfer_id,
                                Result<Bytes> raw);
-  /// Destination committed the snapshot: assemble the retained full copy
-  /// from the merged chunks + manifest, retire the pre-copy attempt into
-  /// outgoing_, persist.  Shared by the sync finalize and the async ack.
-  Status finish_precopy_outgoing(const sgx::Measurement& source_mr,
-                                 const PrecopyFinalizePayload& fin);
+  /// Opens a pumped pre-copy ack awaited at `step`: nullptr when stale
+  /// (attempt gone, or superseded by a re-attest); otherwise the attempt,
+  /// back at kIdle, with ship_failure set from the reply.
+  PrecopyOutgoing* land_precopy_ack(uint64_t nonce, uint64_t transfer_id,
+                                    PrecopyOutgoing::ShipStep step,
+                                    const char* marker,
+                                    const Result<Bytes>& raw);
+  /// Destination committed the finalize `fin`: assemble the retained
+  /// full copy from the merged chunks + manifest, retire the pre-copy
+  /// attempt into outgoing_, persist.
+  void finish_precopy_outgoing(uint64_t nonce,
+                               const PrecopyFinalizePayload& fin);
+  /// Synchronous tails of kPrecopyRound / kPrecopyFinalizeReq: kick the
+  /// attempt's hop and pump it inside the handler's ecall.  The round
+  /// returns the hop's failure once the attempt is idle again; the
+  /// finalize re-kicks within the ship budget and returns kOk once the
+  /// destination's verdict retired the attempt.
+  Status ship_precopy_round_inline(uint64_t nonce);
+  Status ship_precopy_finalize_inline(uint64_t nonce);
+  /// Whether a handler may pump the network inside its own ecall: not
+  /// while a lane schedule is installed, whose owner alone drives the
+  /// wire (a nested pump would run other lanes' events on this lane and
+  /// charge no wire time).
+  bool can_pump_inline();
+  /// set_async_precopy's setting, forced on while a lane schedule owns
+  /// the wire (e.g. for an ME restarted mid pipelined drain, which comes
+  /// back with the setting off).
+  bool async_precopy();
+  /// The attempt for `nonce` is gone or has no hop on the wire.
+  bool precopy_settled(uint64_t nonce) const;
+  /// Runs the network until `done()` holds, with the pumped continuations
+  /// nested in the calling handler's ecall; false if the wire went idle
+  /// first.  Only when can_pump_inline().
+  bool pump_inline(const std::function<bool()>& done);
+  /// ECALL transition of a pumped continuation: none when it runs nested
+  /// inside a blocking handler's pump_inline (that ecall already paid).
+  std::optional<EcallScope> continuation_ecall();
   /// Parses a pumped MeResponse reply; non-kOk peers and transport
   /// failures collapse to a Status.
   static Result<Bytes> open_task_reply(const Result<Bytes>& raw);
@@ -468,33 +531,39 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                               uint64_t nonce,
                               const std::string& destination_address);
 
-  /// Runs the whole outgoing side: RA + provider auth + policy + transfer.
-  /// `source_mr` is taken by value: the nested rpcs can re-enter
-  /// handle_request (a peer ME's DONE-relay retry) and erase the session
-  /// a reference would point into.
-  Status run_outgoing(sgx::Measurement source_mr,
-                      const MigrateRequestPayload& request);
-
-  /// Mutual RA handshake + provider auth + policy against a peer ME:
-  /// the front half of run_outgoing, shared with the pre-copy first
-  /// contact and the reconcile sweep.  On success the returned channel is
-  /// ready to seal records for `transfer_id` at the peer.
+  /// Blocking mutual RA handshake + provider auth + policy against a peer
+  /// ME over rpc (cached-session resume first): pre-copy first contact
+  /// and re-attest, the abort and the reconcile sweep.  On success the
+  /// returned channel is ready to seal records for `transfer_id` at the
+  /// peer.
   Result<net::SecureChannel> attest_peer_me(
       const std::string& destination_address, uint64_t transfer_id,
       const MigrationPolicy& policy);
 
-  /// One-round-trip resume against a cached peer session (sync path of
-  /// attest_peer_me).  kNoPendingMigration = no cache entry; any other
-  /// failure already erased the entry — fall back to the full handshake.
-  Result<net::SecureChannel> try_resume_session(
+  // Handshake halves shared by attest_peer_me and the TransferTask steps;
+  // each consumes one peer reply.
+  /// Cached-session resume request (`nonce_i` receives its nonce):
+  /// kNoPendingMigration when nothing is cached; a policy denial against
+  /// the cached provider-certified credential is final.
+  Result<MeRequest> resume_request(const std::string& destination_address,
+                                   uint64_t transfer_id,
+                                   const MigrationPolicy& policy,
+                                   std::array<uint8_t, 16>& nonce_i);
+  /// Resume reply -> re-keyed channel.  A refused or unverifiable reply
+  /// retires the cache entry; a transport failure keeps it.
+  Result<net::SecureChannel> resumed_channel(
       const std::string& destination_address, uint64_t transfer_id,
-      const MigrationPolicy& policy);
-  /// Caches the initiator-side session after a successful full handshake
-  /// (the msg3 response carries the peer's instance epoch).
-  void cache_peer_session(const std::string& destination_address,
-                          const sgx::Key128& master_key, uint64_t peer_epoch,
-                          const platform::MachineCredential& credential,
-                          const std::string& region);
+      const std::array<uint8_t, 16>& nonce_i, const Result<Bytes>& raw);
+  /// RA msg2 reply -> the msg3 + provider-auth request, once the peer
+  /// proved it runs this ME's code.
+  Result<MeRequest> ra_msg3_request(sgx::RaSession& ra, uint64_t transfer_id,
+                                    const Result<Bytes>& raw);
+  /// RA msg3 reply -> attested channel: verifies the peer's provider auth
+  /// and the policy against its certified credential, then caches the
+  /// session (keyed by the peer's instance epoch) for resumes.
+  Result<net::SecureChannel> handshake_channel(
+      const sgx::RaSession& ra, const std::string& destination_address,
+      const MigrationPolicy& policy, const Result<Bytes>& raw);
 
   /// Finds-or-creates the source-side pre-copy attempt for (session
   /// identity, nonce), re-attesting (fresh transfer id + resync) when the
@@ -503,14 +572,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                                            const std::string& destination,
                                            uint64_t nonce,
                                            const MigrationPolicy& policy);
-
-  /// One sealed send to the pre-copy destination with the resync rules
-  /// applied; `finalize` selects the finalize record + manifest + MSK.
-  Status precopy_send(PrecopyOutgoing& attempt, uint64_t nonce,
-                      const std::vector<CounterChunk>& fresh_chunks,
-                      uint32_t round, bool finalize,
-                      const std::vector<ChunkManifestEntry>& manifest,
-                      const sgx::Key128& msk);
 
   /// Destination-side staging upsert shared by chunk and finalize
   /// records: supersedes an abandoned attempt (fresh nonce/source),
@@ -542,6 +603,13 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   size_t history_limit() const;
   /// Records a confirmed outgoing transfer in the bounded history.
   void record_completed(uint64_t transfer_id, const OutgoingTransfer& t);
+  /// Wipes and erases a retained outgoing transfer, and its per-identity
+  /// index entry when it is the latest; returns the next iterator.
+  std::map<uint64_t, OutgoingTransfer>::iterator drop_outgoing(
+      std::map<uint64_t, OutgoingTransfer>::iterator it);
+  /// Positive evidence `mr` moved on from attempt `nonce`: a completion
+  /// record under another nonce and none under this one.
+  bool moved_on(const sgx::Measurement& mr, uint64_t nonce) const;
   /// Drops LA sessions whose peer measurement matches `mr` (the instance
   /// behind them is frozen/retired; a live library simply re-attests).
   void drop_sessions_for(const sgx::Measurement& mr);
@@ -594,6 +662,8 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   uint64_t full_handshakes_ = 0;
   uint64_t resumed_handshakes_ = 0;
   bool async_precopy_ = false;
+  // Set while a blocking handler pumps the network inside its ecall.
+  bool pumping_inline_ = false;
   uint32_t arm_window_ = 2;
 
   std::unique_ptr<PersistenceEngine> engine_;
@@ -620,8 +690,8 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   Duration precopy_staging_max_age_ = seconds(600);
   Duration last_staging_sweep_{};
   // LA session currently being serviced by on_la_record: protected from
-  // drop_sessions_for so a reentrant DONE (arriving over a nested rpc)
-  // cannot erase the session mid-dispatch.
+  // drop_sessions_for so a reentrant DONE (arriving over a nested rpc or
+  // an inline pump) cannot erase the session mid-dispatch.
   uint64_t active_la_session_ = 0;
 };
 

@@ -107,6 +107,9 @@ class Network {
   /// (nullptr restores plain monotone pumping).  The caller owns it and
   /// must uninstall it before it dies.
   void set_lane_schedule(LaneSchedule* lanes) { lanes_ = lanes; }
+  /// True while a lane ledger is installed: pump_one() may then only be
+  /// driven by the ledger's owner, never from inside a lane's handler.
+  bool lane_scheduled() const { return lanes_ != nullptr; }
 
   /// Installs the world's trace/metrics bundle (nullptr disconnects).
   /// When tracing is enabled the network emits net.post / net.deliver /

@@ -1,8 +1,9 @@
 // Golden reports for the orchestrator's wave driver.
 //
-// Replays the three 32-enclave BENCH_fleet_drain configurations —
-// pipelined full snapshot, pipelined pre-copy, and the ME restart fault —
-// and renders each outcome as golden text: the virtual wall in ns, the
+// Replays five 32-enclave BENCH_fleet_drain configurations — pipelined
+// full snapshot, pipelined pre-copy, the ME restart fault, and the
+// blocking (non-pipelined, synchronous source ME) full snapshot and
+// pre-copy drains — and renders each outcome as golden text: the virtual wall in ns, the
 // DriverStats, and the OrchestratorReport JSON with its event log.
 // test_event_driver and bench_fleet_scale both run every configuration
 // once and compare the text byte for byte against the committed file
@@ -26,16 +27,25 @@
 
 namespace sgxmig::golden {
 
-enum class DrainConfig { kPipelined, kPrecopy, kMeRestart };
+enum class DrainConfig {
+  kPipelined,
+  kPrecopy,
+  kMeRestart,
+  kBlocking,
+  kBlockingPrecopy
+};
 
 inline constexpr DrainConfig kDrainConfigs[] = {
-    DrainConfig::kPipelined, DrainConfig::kPrecopy, DrainConfig::kMeRestart};
+    DrainConfig::kPipelined, DrainConfig::kPrecopy, DrainConfig::kMeRestart,
+    DrainConfig::kBlocking, DrainConfig::kBlockingPrecopy};
 
 inline const char* drain_config_name(DrainConfig config) {
   switch (config) {
     case DrainConfig::kPipelined: return "pipelined-full-snapshot";
     case DrainConfig::kPrecopy: return "pipelined-precopy";
     case DrainConfig::kMeRestart: return "me-restart";
+    case DrainConfig::kBlocking: return "blocking-full-snapshot";
+    case DrainConfig::kBlockingPrecopy: return "blocking-precopy";
   }
   return "?";
 }
@@ -51,16 +61,21 @@ struct DrainRun {
 inline DrainRun run_drain(DrainConfig config) {
   using orchestrator::TransferMode;
   const int enclaves = 32;
-  const TransferMode mode = config == DrainConfig::kPrecopy
+  const TransferMode mode = (config == DrainConfig::kPrecopy ||
+                             config == DrainConfig::kBlockingPrecopy)
                                 ? TransferMode::kPrecopy
                                 : TransferMode::kFullSnapshot;
+  // Blocking drains keep the source ME synchronous: migration_start and
+  // pre-copy rounds/finalize reply only once the ME<->ME hop landed.
+  const bool pipelined = config != DrainConfig::kBlocking &&
+                         config != DrainConfig::kBlockingPrecopy;
   const int fault = config == DrainConfig::kMeRestart ? 2 : 0;
   platform::World world(9100 + enclaves + fault * 7 +
-                        static_cast<int>(mode) * 31 + 101);
+                        static_cast<int>(mode) * 31 + (pipelined ? 101 : 0));
   world.install_management_enclaves(
       migration::durable_me_factory(world.provider()));
   for (int i = 0; i < 5; ++i) world.add_machine("m" + std::to_string(i));
-  if (mode == TransferMode::kPrecopy) {
+  if (pipelined && mode == TransferMode::kPrecopy) {
     for (platform::Machine* m : world.machines()) {
       if (auto* me = migration::me_on(*m)) me->set_async_precopy(true);
     }
@@ -85,7 +100,7 @@ inline DrainRun run_drain(DrainConfig config) {
   options.max_inflight_total = 8;
   options.max_attempts = 6;
   options.transfer_mode = mode;
-  options.pipelined = true;
+  options.pipelined = pipelined;
   orchestrator::Orchestrator orch(fleet, scheduler, options);
   size_t completions = 0;
   if (config == DrainConfig::kMeRestart) {

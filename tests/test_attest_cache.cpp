@@ -66,11 +66,13 @@ class AttestCacheTest : public ::testing::Test {
   }
   /// Full migration src -> dst (source object destroyed, destination
   /// inits as kMigrate and pulls the pending data from its ME).
-  Status migrate(std::unique_ptr<MigratableEnclave>& enclave,
-                 Machine& /*src*/, Machine& dst,
-                 std::shared_ptr<const EnclaveImage> image) {
+  Status migrate(std::unique_ptr<MigratableEnclave>& enclave, Machine& src,
+                 Machine& dst, std::shared_ptr<const EnclaveImage> image) {
     const Status start = enclave->ecall_migration_start(dst.address());
     if (start != Status::kOk) return start;
+    // The blocking start ran the TransferTask step machine to retention.
+    EXPECT_EQ(me(src.address())->transfer_task_count(), 0u);
+    EXPECT_EQ(world_.network().pending_events(), 0u);
     enclave.reset();
     enclave = make_app(dst, image);
     return enclave->ecall_migration_init(ByteView(), InitState::kMigrate,

@@ -2,8 +2,9 @@
 // on must keep producing exactly the outcomes pinned for them.
 //   * golden reports — the wave driver reproduces the committed golden
 //     files (OrchestratorReport JSON with events, virtual wall in ns,
-//     DriverStats) byte for byte on the pipelined, pre-copy and ME-restart
-//     32-enclave drains (tests/golden/fleet_drain_golden.h);
+//     DriverStats) byte for byte on the pipelined, pre-copy, ME-restart,
+//     blocking full-snapshot and blocking pre-copy 32-enclave drains
+//     (tests/golden/fleet_drain_golden.h);
 //   * placement-index determinism — the incrementally-updated index
 //     (region shards over the reservation ledger) picks the same
 //     destination as the brute-force full scan over the same ledger

@@ -86,6 +86,7 @@ TEST_F(MeDurableQueueTest, SourceMeRestartKeepsRetainedCopyUntilDone) {
   enclave->ecall_increment_migratable_counter(id);
   ASSERT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
   enclave.reset();
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
 
   // The source ME dies mid-drain, after the transfer but before DONE.
   restart_me("m0");
@@ -155,6 +156,9 @@ TEST_F(MeDurableQueueTest, LostMigrateReplyResumesWithoutDoubleTransfer) {
   EXPECT_EQ(enclave->ecall_migration_start("m1"), Status::kOk);
   world_.network().clear_response_tamper_hook();
   EXPECT_TRUE(dropped);
+  // The blocking request's TransferTask dissolved into the retained
+  // transfer before the (lost) reply.
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
 
   // Exactly one transfer exists on either side — no duplicate shipment —
   // and the staged attempt was consumed by the resume (external retry

@@ -4,7 +4,8 @@
 // Chrome trace-event export round-tripped through the strict JSON
 // parser, OrchestratorReport::to_json(include_events) surviving hostile
 // event strings, one span tree per migration stitched ACROSS a source-ME
-// crash/restart, and a traced orchestrated drain whose virtual wall time
+// crash/restart, the blocking start's step-machine instants inside its
+// one span tree, and a traced orchestrated drain whose virtual wall time
 // is bit-identical to its untraced twin (the zero-overhead-when-off
 // property).  The drain test also writes TRACE_obs_drain.json +
 // TRACE_REPORT_obs_drain.json so CI jobs without the bench binaries can
@@ -397,6 +398,68 @@ TEST(ObsFaults, SpanTreeStitchedAcrossSourceMeRestart) {
     }
   }
   EXPECT_EQ(done, 2u);
+}
+
+// The blocking migration_start runs on the same TransferTask step machine
+// as the pipelined path, pumped inside the source ME's ecall: its steps
+// land as me.task.step instants inside the migration's ONE span tree, and
+// nothing is left queued at the source ME once the start returns.
+TEST(ObsBlocking, BlockingStartStepsLandInOneClosedSpanTree) {
+  World world{/*seed=*/5151};
+  world.install_management_enclaves(
+      migration::durable_me_factory(world.provider()));
+  platform::Machine& m0 = world.add_machine("m0");
+  platform::Machine& m1 = world.add_machine("m1");
+  world.observability().set_enabled(true);
+
+  const auto image = EnclaveImage::create("obs-blocking", 1, "acme");
+  const auto make_app = [&](platform::Machine& m) {
+    auto enclave = std::make_unique<MigratableEnclave>(m, image);
+    enclave->set_persist_callback(
+        [&m](ByteView s) { m.storage().put("ml", s); });
+    return enclave;
+  };
+  auto source = make_app(m0);
+  ASSERT_EQ(source->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+            Status::kOk);
+  source->ecall_increment_migratable_counter(
+      source->ecall_create_migratable_counter().value().counter_id);
+
+  ASSERT_EQ(source->ecall_migration_start("m1"), Status::kOk);
+  EXPECT_EQ(migration::me_on(m0)->transfer_task_count(), 0u);
+  EXPECT_EQ(migration::me_on(m0)->outgoing_count(), 1u);
+  EXPECT_EQ(world.network().pending_events(), 0u);
+  source.reset();
+  auto moved = make_app(m1);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(), 1u);
+
+  const TraceRecorder& rec = world.observability().trace;
+  const TraceSpan* root = nullptr;
+  size_t roots = 0;
+  for (const TraceSpan& span : rec.spans()) {
+    if (span.name == "migration" && span.parent_id == 0) {
+      root = &span;
+      ++roots;
+    }
+  }
+  ASSERT_EQ(roots, 1u);
+  EXPECT_EQ(rec.open_span_count(), 0u);
+  std::vector<std::string> steps;
+  for (const auto& instant : rec.instants()) {
+    if (instant.name != "me.task.step") continue;
+    EXPECT_EQ(instant.trace_id, root->trace_id);
+    EXPECT_EQ(instant.lane, "m0");
+    EXPECT_GE(instant.at, root->start);
+    EXPECT_LE(instant.at, root->end);
+    for (const auto& [key, value] : instant.args) {
+      if (key == "step") steps.push_back(value);
+    }
+  }
+  const std::vector<std::string> expected = {"await-ra-msg2", "await-auth",
+                                             "await-accept", "retained"};
+  EXPECT_EQ(steps, expected);
 }
 
 // ----- traced orchestrated drain: zero overhead + CI artifacts -----

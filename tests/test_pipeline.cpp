@@ -1,5 +1,7 @@
 // Pipelined ME transfer-engine tests: the source ME's TransferTask step
-// machine (enqueue/pump/poll), deferred-delivery interleaving, durable
+// machine (enqueue/pump/poll, and the blocking start pumped inline:
+// clean failure toward a downed destination, adopting a queued task of
+// the same attempt), deferred-delivery interleaving, durable
 // resume of in-flight pipelines across source-ME restarts, exactly-once
 // completion per nonce under response loss, orchestrated pipelined drains
 // under mixed fault storms (tamper + reply loss + ME crashes) with zero
@@ -15,8 +17,10 @@
 
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "net/network.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
+#include "support/sim_clock.h"
 
 namespace sgxmig {
 namespace {
@@ -179,6 +183,99 @@ TEST_F(PipelineTest, ConcurrentTransfersInterleaveOverIndependentChannels) {
     EXPECT_EQ(moved->ecall_read_migratable_counter(0).value(),
               static_cast<uint32_t>(i + 1));
   }
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+}
+
+// ----- the blocking start on the same step machine -----
+
+TEST_F(PipelineTest, BlockingStartTowardDownedDestinationFailsCleanly) {
+  auto enclave = start_new(m0_, image_);
+  const uint32_t id =
+      enclave->ecall_create_migratable_counter().value().counter_id;
+  enclave->ecall_increment_migratable_counter(id);
+
+  // The blocking start pumps its TransferTask inside the source ME's
+  // ecall: RA msg1 hits the downed endpoint, the task fails, and the
+  // failure is the reply — no task, retained copy or wire traffic stays.
+  world_.network().set_endpoint_down("m1/me", true);
+  const MigrationStartResult failed =
+      enclave->ecall_migration_start_detailed("m1");
+  EXPECT_EQ(failed.status, Status::kNetworkUnreachable);
+  EXPECT_EQ(failed.failure_class, MigrationFailureClass::kRetryableNetwork);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+  EXPECT_EQ(world_.network().pending_events(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 0u);
+
+  // Back up: the retry (same attempt nonce) lands exactly once.
+  world_.network().set_endpoint_down("m1/me", false);
+  ASSERT_TRUE(enclave->ecall_migration_start_detailed("m1").ok());
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  enclave.reset();
+  auto moved = make_app(m1_, image_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(id).value(), 1u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+}
+
+TEST_F(PipelineTest, BlockingStartUnderLaneScheduleIsRefused) {
+  auto enclave = start_new(m0_, image_);
+  const uint32_t id =
+      enclave->ecall_create_migratable_counter().value().counter_id;
+  enclave->ecall_increment_migratable_counter(id);
+
+  // A blocking start pumps the wire inside the source ME's ecall, which
+  // only the owner of an installed lane schedule may do: from inside a
+  // lane it is refused before any task is queued or message posted.
+  MigrationStartResult refused;
+  {
+    LaneSchedule lanes(world_.clock());
+    world_.network().set_lane_schedule(&lanes);
+    lanes.run("m0", lanes.control(), [&] {
+      refused = enclave->ecall_migration_start_detailed("m1");
+    });
+    world_.network().set_lane_schedule(nullptr);
+  }
+  EXPECT_EQ(refused.status, Status::kInvalidState);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(world_.network().pending_events(), 0u);
+
+  // Outside the schedule the same attempt lands.
+  ASSERT_TRUE(enclave->ecall_migration_start_detailed("m1").ok());
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  enclave.reset();
+  auto moved = make_app(m1_, image_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(id).value(), 1u);
+}
+
+TEST_F(PipelineTest, BlockingStartAdoptsQueuedTaskOfSameAttempt) {
+  auto enclave = start_new(m0_, image_);
+  const uint32_t id =
+      enclave->ecall_create_migratable_counter().value().counter_id;
+  enclave->ecall_increment_migratable_counter(id);
+
+  // Queued first: the durable task already posted RA msg1.  A blocking
+  // start of the same attempt (same nonce) is the same task: it pumps
+  // that conversation to retention instead of starting a second one.
+  ASSERT_TRUE(enclave->ecall_migration_enqueue_detailed("m1").ok());
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  EXPECT_EQ(world_.network().pending_events(), 1u);
+  ASSERT_TRUE(enclave->ecall_migration_start_detailed("m1").ok());
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->full_handshake_count(), 1u);
+  EXPECT_EQ(world_.network().pending_events(), 0u);
+  EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
+
+  enclave.reset();
+  auto moved = make_app(m1_, image_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(id).value(), 1u);
   EXPECT_EQ(me("m0")->outgoing_count(), 0u);
 }
 

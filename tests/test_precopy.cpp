@@ -2,10 +2,13 @@
 // enclave keeps serving, a finalize that freezes only for the last delta,
 // the epoch guard that replaces in-freeze counter destruction, and the
 // chaos paths — dropped mid-round chunks, lost acks, ME restarts between
-// rounds, lost finalize replies — all of which must resume or supersede
-// with no forked state.  Also covers the pending-entry reconciliation
-// sweep (lost-ACCEPTED re-route orphan) and the orchestrated 32-enclave
-// pre-copy drain through ME restarts.
+// rounds, lost finalize replies, a destination that lost its staging
+// before the finalize — all of which must resume or supersede with no
+// forked state.  The source ME here is synchronous: every round and the
+// finalize are pumped to the destination's verdict before the reply.
+// Also covers the pending-entry reconciliation sweep (lost-ACCEPTED
+// re-route orphan) and the orchestrated 32-enclave pre-copy drain
+// through ME restarts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,8 +17,10 @@
 
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "net/network.h"
 #include "orchestrator/orchestrator.h"
 #include "platform/world.h"
+#include "support/sim_clock.h"
 
 namespace sgxmig {
 namespace {
@@ -90,6 +95,9 @@ TEST_F(PrecopyTest, RoundsShipOnlyDirtyChunksAndPreserveValues) {
   ASSERT_TRUE(r0.ok());
   EXPECT_EQ(r0.value().round, 0u);
   EXPECT_EQ(r0.value().chunks_shipped, 2u);  // both populated chunks
+  // Synchronous source ME: the ack waited for the destination's, so the
+  // round's hop is off the wire and staged at the destination.
+  EXPECT_EQ(world_.network().pending_events(), 0u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
 
   // The enclave is NOT frozen between rounds: live mutations continue.
@@ -100,6 +108,7 @@ TEST_F(PrecopyTest, RoundsShipOnlyDirtyChunksAndPreserveValues) {
   ASSERT_TRUE(r1.ok());
   EXPECT_EQ(r1.value().round, 1u);
   EXPECT_EQ(r1.value().chunks_shipped, 1u);  // only chunk 0 was dirtied
+  EXPECT_EQ(world_.network().pending_events(), 0u);
 
   // One more live mutation becomes the finalize delta.
   EXPECT_TRUE(enclave->ecall_increment_migratable_counter(17).ok());
@@ -116,6 +125,8 @@ TEST_F(PrecopyTest, RoundsShipOnlyDirtyChunksAndPreserveValues) {
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
   EXPECT_EQ(me("m0")->outgoing_state(image_->mr_enclave()),
             OutgoingState::kPending);
+  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(world_.network().pending_events(), 0u);
   enclave.reset();
 
   auto moved = make_app(m1_);
@@ -335,6 +346,96 @@ TEST_F(PrecopyTest, LostFinalizeReplyResumesViaNonceQuery) {
   ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
             Status::kOk);
   EXPECT_EQ(moved->active_counters(), 6u);
+}
+
+TEST_F(PrecopyTest, SyncMeUnderLaneScheduleLeavesHopsToTheScheduleOwner) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  ASSERT_TRUE(enclave->ecall_increment_migratable_counter(3).ok());
+
+  // Inside a lane of an installed schedule (a pipelined drain), even a
+  // synchronous ME must not pump the wire: the round and the finalize
+  // reply at once, their hops stay posted, and the schedule's owner
+  // delivers them on the destination's lane.
+  net::Network& net = world_.network();
+  migration::MigrationStartResult fin;
+  migration::MigrationStartResult polled;
+  {
+    LaneSchedule lanes(world_.clock());
+    net.set_lane_schedule(&lanes);
+    bool round_ok = false;
+    lanes.run("m0", lanes.control(), [&] {
+      round_ok = enclave->ecall_migration_precopy_round("m1").ok();
+    });
+    EXPECT_TRUE(round_ok);
+    EXPECT_GT(net.pending_events(), 0u);
+    net.pump_all();
+    EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
+
+    lanes.run("m0", lanes.control(), [&] {
+      fin = enclave->ecall_migration_finalize_detailed("m1");
+    });
+    EXPECT_GT(net.pending_events(), 0u);
+    net.pump_all();
+    lanes.run("m0", lanes.control(), [&] {
+      polled = enclave->ecall_migration_poll_transfer();
+    });
+    net.set_lane_schedule(nullptr);
+  }
+  EXPECT_EQ(fin.status, Status::kMigrationInProgress) << fin.message;
+  ASSERT_TRUE(polled.ok()) << polled.message;
+  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  enclave.reset();
+
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->active_counters(), 6u);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(3).value(), 1u);
+}
+
+TEST_F(PrecopyTest, SyncFinalizeResyncsAfterDestinationLostStaging) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  enclave->ecall_increment_migratable_counter(2);
+
+  // The destination ages out the staged rounds AND the channel they came
+  // over, so the finalize record meets an unknown conversation.
+  me("m1")->set_precopy_staging_max_age(Duration::zero());
+  EXPECT_EQ(me("m1")->sweep_stale_precopy_staging(), 1u);
+  me("m1")->set_precopy_staging_max_age(Duration::max());
+
+  int finalize_records = 0;
+  world_.network().set_tamper_hook(
+      [&finalize_records](const std::string& to, Bytes& request) {
+        auto parsed = MeRequest::deserialize(request);
+        if (to == "m1/me" && parsed.ok() &&
+            parsed.value().type == MeMsgType::kPrecopyFinalize) {
+          ++finalize_records;
+        }
+        return true;
+      });
+  // The finalize hop's retry budget re-attests and re-ships the whole
+  // merged set inside the one synchronous finalize.
+  const auto fin = enclave->ecall_migration_finalize_detailed("m1");
+  world_.network().clear_tamper_hook();
+  ASSERT_TRUE(fin.ok()) << fin.message;
+  EXPECT_EQ(finalize_records, 2);
+  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->outgoing_count(), 1u);
+  enclave.reset();
+
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 1u);
+  EXPECT_EQ(moved->active_counters(), 20u);
 }
 
 // ----- pending-entry reconciliation (lost-ACCEPTED re-route orphan) ----
