@@ -16,7 +16,9 @@ orchestrator report serialized next to it.  Invariants:
      net.drop instant: nothing vanishes in flight.
   5. trees — every successful migration in the report maps to one
      complete span tree: a 'migration' root for its enclave whose trace
-     carries freeze and restore spans and a migration.done instant,
+     carries freeze and restore spans, a migration.done instant, and the
+     source ME's me.task.step instant with step "retained" (full
+     snapshot and pre-copy alike run on the one TransferTask engine),
      with every span of that trace closed (no orphans).
 
 Usage: trace_check.py TRACE.json TRACE_REPORT.json
@@ -188,11 +190,15 @@ def check_span_trees(spans, events, report, errors):
     names_by_trace = {}
     for s in spans.values():
         names_by_trace.setdefault(s["trace"], set()).add(s["name"])
-    done_traces = {
-        int(e["args"]["trace"])
-        for e in events
-        if e.get("ph") == "i" and e["name"] == "migration.done"
-    }
+    def instant_traces(name, step=None):
+        return {
+            int(e["args"]["trace"])
+            for e in events
+            if e.get("ph") == "i" and e["name"] == name
+            and (step is None or e["args"].get("step") == step)
+        }
+    done_traces = instant_traces("migration.done")
+    retained_traces = instant_traces("me.task.step", "retained")
     for m in report.get("migrations", []):
         if not m.get("success"):
             continue
@@ -213,6 +219,10 @@ def check_span_trees(spans, events, report, errors):
             errors.append(
                 f"enclave {name}: completed tree (trace {trace}) lacks "
                 f"{sorted(missing)} spans")
+        if trace not in retained_traces:
+            errors.append(
+                f"enclave {name}: completed tree (trace {trace}) lacks the "
+                "source ME's me.task.step 'retained' instant")
 
 
 def check_chaos(spans, events, report, errors):

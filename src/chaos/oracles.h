@@ -26,6 +26,7 @@
 #include "obs/trace.h"
 #include "orchestrator/fleet_registry.h"
 #include "orchestrator/report.h"
+#include "platform/world.h"
 
 namespace sgxmig::chaos {
 
@@ -79,6 +80,17 @@ class ConvergenceOracle {
   uint64_t epoch_guard_refusals_ = 0;
   uint64_t forks_ = 0;
 };
+
+/// Post-storm settle, run after the drain and before verify(): a storm
+/// can strand queue work whose driver is gone when the last wave ends —
+/// pending delivery-takeover timers, unrelayed DONEs toward a just-revived
+/// ME, and orphans whose abort/reconcile message was itself lost.  Up to
+/// eight rounds of one virtual second each pump every ME, run its janitor
+/// sweeps (sweep_superseded_outgoing, reconcile_all_pending) and drain the
+/// wire, stopping once no ME holds pending incoming entries, unrelayed
+/// DONEs, retained outgoing transfers or transfer tasks.  A genuinely
+/// wedged queue survives the loop and the durable-queue oracle reports it.
+void settle_queues(platform::World& world);
 
 /// Trace-level recovery oracle: every "chaos.fault" instant must be
 /// followed (strictly later in virtual time) by recovery evidence — a

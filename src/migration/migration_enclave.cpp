@@ -1,5 +1,7 @@
 #include "migration/migration_enclave.h"
 
+#include <utility>
+
 #include "crypto/cmac.h"
 #include "net/network.h"
 #include "obs/observability.h"
@@ -18,6 +20,15 @@ constexpr char kQueueAad[] = "SGXMIG-ME-QUEUE";
 // pipelined TransferTasks with their armed flags, and the cached ME<->ME
 // resume sessions.
 constexpr char kQueueMagic[] = "SGXMIG-ME-QUEUE-v4";
+// Freeze-aware arm pacing: at most this many armed payloads may be in
+// flight before the poll stops reporting kSlotLive for parked (kAwaitArm)
+// tasks, so the freeze window of each reserved task stays bounded by its
+// OWN ship + accept, not the whole in-flight window's serialized
+// source-lane work.
+constexpr size_t kArmWindow = 2;
+// How often a staged finalize is re-attested / re-posted after a failed
+// attest or hop before the task is handed back to the library.
+constexpr uint32_t kFinalizeShipAttempts = 3;
 // Confirmed-transfer history bound: enough to absorb duplicate DONEs from
 // any realistic relay-retry window without growing with fleet lifetime.
 constexpr size_t kCompletedHistoryLimit = 4096;
@@ -26,6 +37,13 @@ MeResponse error_response(Status status) {
   MeResponse resp;
   resp.status = status;
   return resp;
+}
+
+LibMsg lib_error(Status status) {
+  LibMsg reply;
+  reply.type = LibMsgType::kError;
+  reply.status = status;
+  return reply;
 }
 
 // Merge by generation: replayed or re-shipped chunks are idempotent,
@@ -411,12 +429,7 @@ MeResponse MigrationEnclave::on_la_record(const MeRequest& req) {
 LibMsg MigrationEnclave::on_migrate_request(LaSessionState& session,
                                             const LibMsg& msg) {
   auto request = MigrateRequestPayload::deserialize(msg.payload);
-  if (!request.ok()) {
-    LibMsg reply;
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!request.ok()) return lib_error(Status::kTampered);
   if (!can_pump_inline()) {
     // Under a lane schedule only the schedule's owner may pump the wire;
     // a caller there enqueues (kMigrateEnqueue) and polls instead.
@@ -460,11 +473,7 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
                                            LaSessionState& session) {
   LibMsg reply;
   const auto it = pending_.find(session.peer.mr_enclave);
-  if (it == pending_.end()) {
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kNoPendingMigration;
-    return reply;
-  }
+  if (it == pending_.end()) return lib_error(Status::kNoPendingMigration);
   // Deliver to exactly one enclave instance: once handed to a session, no
   // other session may fetch it (prevents forking the migration data into
   // two concurrently-running destination enclaves).  The pin is released
@@ -480,9 +489,7 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
         !pinned_gone && platform().clock().now() - pinned->second.last_used >=
                             delivery_takeover_timeout_;
     if (!pinned_gone && !pinned_idle) {
-      reply.type = LibMsgType::kError;
-      reply.status = Status::kMigrationInProgress;
-      return reply;
+      return lib_error(Status::kMigrationInProgress);
     }
     // Revoke the stale session so the presumed-dead instance cannot come
     // back and race the new one for the confirm.
@@ -523,11 +530,7 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
   if (!msg.payload.empty()) {
     BinaryReader r(msg.payload);
     token = r.u64();
-    if (!r.done()) {
-      reply.type = LibMsgType::kError;
-      reply.status = Status::kTampered;
-      return reply;
-    }
+    if (!r.done()) return lib_error(Status::kTampered);
   }
   const auto it = pending_.find(session.peer.mr_enclave);
   const bool owner =
@@ -590,11 +593,7 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
     confirmed_incoming_order_.pop_front();
   }
   const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    reply.type = LibMsgType::kError;
-    reply.status = persisted;
-    return reply;
-  }
+  if (persisted != Status::kOk) return lib_error(persisted);
 
   // Relay DONE to the source ME so it can delete its retained copy.  If
   // the source is unreachable the sealed record stays in the durable
@@ -656,11 +655,7 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
                                          const LibMsg& msg) {
   LibMsg reply;
   auto query = QueryStatusPayload::deserialize(msg.payload);
-  if (!query.ok()) {
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!query.ok()) return lib_error(Status::kTampered);
   OutgoingState state = OutgoingState::kNone;
   const uint64_t nonce = query.value().request_nonce;
   if (nonce == 0) {
@@ -681,8 +676,9 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
 // ----- outgoing migration (source side, paper Fig. 2 steps 3-4) -----
 
 // The handshake halves below are shared by the posted TransferTask steps
-// and the blocking attest_peer_me: each one consumes a peer reply and
-// produces the next request (or the attested channel).
+// and the blocking attest_peer_me of the one-shot abort and reconcile
+// queries: each one consumes a peer reply and produces the next request
+// (or the attested channel).
 
 Result<MeRequest> MigrationEnclave::resume_request(
     const std::string& destination_address, uint64_t transfer_id,
@@ -804,10 +800,10 @@ Result<net::SecureChannel> MigrationEnclave::handshake_channel(
 }
 
 Result<net::SecureChannel> MigrationEnclave::attest_peer_me(
-    const std::string& destination_address, uint64_t transfer_id,
-    const MigrationPolicy& policy) {
+    const std::string& destination_address, uint64_t transfer_id) {
   auto* net = platform().network();
   if (net == nullptr) return Status::kNetworkUnreachable;
+  const MigrationPolicy policy;
   const std::string dest_endpoint = destination_address + "/me";
   // Cached-session resume first (one round trip).  Anything but a policy
   // denial (no cache entry, peer refused, transport) falls back to the
@@ -939,17 +935,13 @@ uint64_t MigrationEnclave::draw_transfer_id() {
 // serializes (one enclave), but wire latency and the destination MEs'
 // work genuinely overlap — which is what turns the orchestrator's
 // in-flight cap into a throughput lever.  The blocking kMigrateRequest
-// drives the same steps through pump_inline.
+// drives the same steps through pump_inline, and pre-copy tasks attest on
+// them too (see "live pre-copy" below).
 
 LibMsg MigrationEnclave::on_migrate_enqueue(LaSessionState& session,
                                             const LibMsg& msg) {
   auto request = MigrateRequestPayload::deserialize(msg.payload);
-  if (!request.ok()) {
-    LibMsg reply;
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!request.ok()) return lib_error(Status::kTampered);
   return queue_transfer(session, std::move(request).value(), /*armed=*/true,
                         /*durable=*/true);
 }
@@ -961,12 +953,7 @@ LibMsg MigrationEnclave::on_migrate_reserve(LaSessionState& session,
   // at kAwaitArm; the poll reports kSlotLive and only then does the
   // library freeze, collect, and arm the payload.
   auto parsed = MigrateReservePayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    LibMsg reply;
-    reply.type = LibMsgType::kError;
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!parsed.ok()) return lib_error(Status::kTampered);
   MigrateRequestPayload request;
   request.destination_address = parsed.value().destination_address;
   request.request_nonce = parsed.value().request_nonce;
@@ -1003,11 +990,12 @@ LibMsg MigrationEnclave::queue_transfer(LaSessionState& session,
       reply.status = Status::kAlreadyExists;  // foreign nonce collision
       return reply;
     }
-    if (existing->second.request.destination_address !=
-        request.destination_address) {
-      // One nonce binds one (attempt, destination): the library draws a
-      // fresh nonce on every re-route, so a destination mismatch is a
-      // broken client.  Honoring it would also desync the durable task
+    if (existing->second.precopy.has_value() ||
+        existing->second.request.destination_address !=
+            request.destination_address) {
+      // One nonce binds one (attempt, kind, destination): the library
+      // draws a fresh nonce on every re-route, so a mismatch is a broken
+      // client.  Honoring it would also desync the durable task
       // (which resurrects with the OLD destination after a restart).
       reply.status = Status::kInvalidParameter;
       return reply;
@@ -1054,15 +1042,9 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
   LibMsg reply;
   reply.type = LibMsgType::kError;
   auto request = MigrateRequestPayload::deserialize(msg.payload);
-  if (!request.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!request.ok()) return lib_error(Status::kTampered);
   const uint64_t nonce = request.value().request_nonce;
-  if (nonce == 0) {
-    reply.status = Status::kInvalidParameter;
-    return reply;
-  }
+  if (nonce == 0) return lib_error(Status::kInvalidParameter);
   const sgx::Measurement& mr = session.peer.mr_enclave;
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end()) {
@@ -1078,12 +1060,10 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
     reply.status = dedup;
     return reply;
   }
-  if (!(it->second.source_mr == mr)) {
-    reply.status = Status::kAlreadyExists;
-    return reply;
-  }
-  if (it->second.request.destination_address !=
-      request.value().destination_address) {
+  if (!(it->second.source_mr == mr)) return lib_error(Status::kAlreadyExists);
+  if (it->second.precopy.has_value() ||
+      it->second.request.destination_address !=
+          request.value().destination_address) {
     reply.status = Status::kInvalidParameter;
     return reply;
   }
@@ -1120,30 +1100,39 @@ LibMsg MigrationEnclave::on_migrate_arm(LaSessionState& session,
 
 size_t MigrationEnclave::pump() {
   auto scope = enter_ecall();
-  size_t live = 0;
-  std::vector<uint64_t> queued;
+  // Full-snapshot tasks re-attest from kQueued.  With asynchronous
+  // pre-copy, idle pre-copy tasks get their next hop (re)posted, and a
+  // failed one holding a staged finalize re-attests within its ship
+  // budget; any other kQueued pre-copy task waits for the library's next
+  // round, which answers its failure or brings the policy it attests
+  // with.
+  const bool precopy_hops = async_precopy();
+  std::vector<uint64_t> kicks;
   for (const auto& [nonce, task] : transfer_tasks_) {
-    if (task.step == TransferTask::Step::kQueued) queued.push_back(nonce);
-    if (task.step != TransferTask::Step::kFailed) ++live;
-  }
-  for (const uint64_t nonce : queued) kick_task(nonce);
-  if (async_precopy()) {
-    // Idle pre-copy attempts get their next hop (re)posted — a round
-    // record, or the staged finalize once the library committed one.
-    std::vector<uint64_t> idle;
-    for (const auto& [nonce, attempt] : precopy_outgoing_) {
-      if (attempt.ship_step == PrecopyOutgoing::ShipStep::kIdle) {
-        idle.push_back(nonce);
-      }
+    const bool queued = task.step == TransferTask::Step::kQueued;
+    if (!task.precopy.has_value()
+            ? queued
+            : precopy_hops && (task.step == TransferTask::Step::kIdle ||
+                               (queued && task.precopy->staged_finalize))) {
+      kicks.push_back(nonce);
     }
-    for (const uint64_t nonce : idle) kick_precopy_ship(nonce);
-    // In-flight ships AND attempts still holding a staged finalize count
-    // as live work so the driver keeps pumping this ME.
-    for (const auto& [nonce, attempt] : precopy_outgoing_) {
-      if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle ||
-          attempt.staged_finalize.has_value()) {
-        ++live;
-      }
+  }
+  for (const uint64_t nonce : kicks) {
+    if (transfer_tasks_.at(nonce).precopy.has_value()) {
+      kick_precopy(nonce);
+    } else {
+      kick_task(nonce);
+    }
+  }
+  // In-flight pre-copy tasks AND those still holding a staged finalize
+  // count as live work so the driver keeps pumping this ME.
+  size_t live = 0;
+  for (const auto& [nonce, task] : transfer_tasks_) {
+    if (!task.precopy.has_value()) {
+      live += task.step != TransferTask::Step::kFailed;
+    } else if (precopy_hops) {
+      live += !precopy_settled(nonce) ||
+              task.precopy->staged_finalize.has_value();
     }
   }
   return live;
@@ -1275,6 +1264,16 @@ void MigrationEnclave::task_on_resume(uint64_t nonce,
 
 void MigrationEnclave::task_attested(uint64_t nonce, TransferTask& task) {
   task.ra.reset();
+  if (task.precopy.has_value()) {
+    // A fresh channel after earlier rounds re-ships the whole merged set:
+    // the destination converges by chunk generation no matter which
+    // records were lost.
+    task.step = TransferTask::Step::kIdle;
+    task.failure = Status::kOk;
+    task.precopy->resync = task.precopy->rounds > 0;
+    kick_precopy(nonce);
+    return;
+  }
   if (!task.armed) {
     // Enqueue-without-freeze: hold the attested channel and let the next
     // poll report kSlotLive.  The library freezes, collects, and arms —
@@ -1363,11 +1362,28 @@ void MigrationEnclave::task_on_accept(uint64_t nonce, Result<Bytes> raw) {
 void MigrationEnclave::fail_task(uint64_t nonce, Status status) {
   const auto it = transfer_tasks_.find(nonce);
   if (it == transfer_tasks_.end()) return;
-  it->second.step = TransferTask::Step::kFailed;
-  it->second.failure = status;
-  trace_task_step(platform(), nonce, "failed");
-  it->second.ra.reset();
-  it->second.channel.reset();
+  TransferTask& task = it->second;
+  task.failure = status;
+  task.ra.reset();
+  task.channel.reset();
+  if (!task.precopy.has_value()) {
+    task.step = TransferTask::Step::kFailed;
+    trace_task_step(platform(), nonce, "failed");
+    return;
+  }
+  // The channel may have desynced (our seal advanced the send sequence,
+  // or the peer's ack advanced its own): the next kick re-attests under a
+  // fresh transfer id and resyncs.  The merged state itself is kept.
+  task.step = TransferTask::Step::kQueued;
+  trace_task_step(platform(), nonce, "requeued");
+  task.precopy->resync = true;
+  if (task.precopy->staged_finalize.has_value() &&
+      ++task.precopy->finalize_attempts >= kFinalizeShipAttempts) {
+    // Hand back to the library: its poll observes kNone (a synchronous
+    // finalize replies the failure) and the still frozen enclave
+    // re-drives the finalize (dedup'd).
+    task.precopy->staged_finalize.reset();
+  }
 }
 
 LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
@@ -1375,15 +1391,21 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
   LibMsg reply;
   reply.type = LibMsgType::kError;
   auto parsed = PollTransferPayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!parsed.ok()) return lib_error(Status::kTampered);
   const uint64_t nonce = parsed.value().request_nonce;
   const sgx::Measurement& mr = session.peer.mr_enclave;
   TransferProgressPayload progress;
   const auto it = transfer_tasks_.find(nonce);
-  if (it != transfer_tasks_.end() && it->second.source_mr == mr) {
+  const bool live = it != transfer_tasks_.end() && it->second.source_mr == mr;
+  if (live && it->second.precopy.has_value()) {
+    // Async finalize still shipping (or awaiting its next kick): the
+    // frozen library keeps polling.  A task WITHOUT a staged finalize
+    // reads kNone — the ME restarted (or exhausted the ship budget) and
+    // the library must re-drive the finalize.
+    progress.progress = it->second.precopy->staged_finalize.has_value()
+                            ? TransferProgress::kInFlight
+                            : TransferProgress::kNone;
+  } else if (live) {
     if (it->second.step == TransferTask::Step::kFailed) {
       progress.progress = TransferProgress::kFailed;
       progress.failure = it->second.failure;
@@ -1417,21 +1439,12 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
           ++armed_in_flight;
         }
       }
-      progress.progress = (arm_window_ == 0 || armed_in_flight < arm_window_)
+      progress.progress = armed_in_flight < kArmWindow
                               ? TransferProgress::kSlotLive
                               : TransferProgress::kInFlight;
     } else {
       progress.progress = TransferProgress::kInFlight;
     }
-  } else if (const auto pre = precopy_outgoing_.find(nonce);
-             pre != precopy_outgoing_.end() &&
-             pre->second.source_mr == mr &&
-             pre->second.staged_finalize.has_value()) {
-    // Async finalize still shipping (or awaiting its next kick): the
-    // frozen library keeps polling.  An attempt WITHOUT a staged finalize
-    // falls through to kNone — the ME restarted (or exhausted the ship
-    // budget) and the library must re-drive the finalize synchronously.
-    progress.progress = TransferProgress::kInFlight;
   } else {
     progress.progress = outgoing_fate(mr, nonce).state == OutgoingState::kNone
                             ? TransferProgress::kNone
@@ -1445,46 +1458,51 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
 
 // ----- proactive abort on re-route -----
 
+Result<uint8_t> MigrationEnclave::query_peer_me(const std::string& peer,
+                                                MeMsgType type,
+                                                const Bytes& body,
+                                                const char* marker) {
+  auto* net = platform().network();
+  if (net == nullptr) return Status::kNetworkUnreachable;
+  // The verdict authorizes deleting migration state, so it must come over
+  // a fresh mutually attested, provider-authenticated channel from a
+  // genuine peer ME, not from whoever owns the network.
+  const uint64_t query_id = fresh_id();
+  auto channel = attest_peer_me(peer, query_id);
+  if (!channel.ok()) return channel.status();
+  MeRequest req;
+  req.type = type;
+  req.id = query_id;
+  req.payload = channel.value().seal_record(body);
+  auto reply = open_task_reply(net->rpc(peer + "/me", req.serialize()));
+  if (!reply.ok()) return reply.status();
+  auto record = channel.value().open_record(reply.value());
+  if (!record.ok()) return record.status();
+  BinaryReader r(record.value());
+  const std::string got = r.str(64);
+  const uint8_t verdict = r.u8();
+  if (!r.done() || got != marker || verdict > 1) return Status::kTampered;
+  return verdict;
+}
+
 Status MigrationEnclave::abort_remote_pending(
     const sgx::Measurement& source_mr, uint64_t nonce,
     const std::string& destination_address) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
   if (nonce == 0 || destination_address.empty() ||
       destination_address == platform().address()) {
     return Status::kInvalidParameter;
   }
-  // The abort authorizes the destination to delete migration state, so it
-  // must arrive over a mutually attested, provider-authenticated channel
-  // — the destination additionally checks the entry really originated
-  // from THIS machine.
-  const uint64_t abort_id = fresh_id();
-  auto channel =
-      attest_peer_me(destination_address, abort_id, MigrationPolicy{});
-  if (!channel.ok()) return channel.status();
+  // The destination additionally checks the entry really originated from
+  // THIS machine.
   AbortRequest request;
   request.source_mr_enclave = source_mr;
   request.request_nonce = nonce;
-  MeRequest req;
-  req.type = MeMsgType::kAbort;
-  req.id = abort_id;
-  req.payload = channel.value().seal_record(request.serialize());
-  auto raw = net->rpc(destination_address + "/me", req.serialize());
-  if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok()) return Status::kTampered;
-  if (resp.value().status != Status::kOk) return resp.value().status;
-  auto record = channel.value().open_record(resp.value().payload);
-  if (!record.ok()) return record.status();
-  BinaryReader r(record.value());
-  const std::string marker = r.str(64);
-  const uint8_t safe = r.u8();
-  if (!r.done() || marker != kAbortMarker || safe > 1) {
-    return Status::kTampered;
-  }
+  auto safe = query_peer_me(destination_address, MeMsgType::kAbort,
+                            request.serialize(), kAbortMarker);
+  if (!safe.ok()) return safe.status();
   // safe == 0: the destination holds a DELIVERED entry for this nonce —
   // an instance may still confirm it, so nothing may be forgotten here.
-  return safe == 1 ? Status::kOk : Status::kMigrationInProgress;
+  return safe.value() == 1 ? Status::kOk : Status::kMigrationInProgress;
 }
 
 LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
@@ -1492,37 +1510,22 @@ LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
   LibMsg reply;
   reply.type = LibMsgType::kError;
   auto parsed = AbortStalePayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!parsed.ok()) return lib_error(Status::kTampered);
   const uint64_t nonce = parsed.value().request_nonce;
   const sgx::Measurement& mr = session.peer.mr_enclave;
-  // The re-routed attempt's own source-side staging is orphaned too: an
-  // abandoned pre-copy attempt or an unpolled/unfinished TransferTask for
-  // this nonce will never finalize — drop them before telling the
+  // The re-routed attempt's own source-side task is orphaned too: an
+  // abandoned pre-copy attempt or an unpolled/unfinished transfer for
+  // this nonce will never finalize — drop it before telling the
   // destination.
-  bool dropped = false;
-  const auto precopy = precopy_outgoing_.find(nonce);
-  if (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr) {
-    precopy_outgoing_.erase(precopy);
-    dropped = true;
-  }
   const auto task = transfer_tasks_.find(nonce);
   if (task != transfer_tasks_.end() && task->second.source_mr == mr) {
     transfer_tasks_.erase(task);
-    dropped = true;
-  }
-  if (dropped) {
     // Fence BEFORE the remote abort: if the local drop cannot be made
     // durable, do not expire the destination's copy either — a restart
     // would resurrect the dropped task and re-ship the abandoned
     // attempt, recreating the very orphan this path exists to prevent.
     const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      reply.status = persisted;
-      return reply;
-    }
+    if (persisted != Status::kOk) return lib_error(persisted);
   }
   // Best-effort remote expiry: a failure leaves the pull-based reconcile
   // sweep as the backstop, exactly as before.
@@ -1643,44 +1646,46 @@ size_t MigrationEnclave::sweep_stale_precopy_staging() {
 }
 
 // ----- live pre-copy (source side) -----
+//
+// A pre-copy attempt is a TransferTask carrying its merged chunk set: it
+// attests on the same posted resume / RA msg1 steps as a full snapshot,
+// lands at kIdle, and then ships one round or finalize record at a time
+// over its channel (the record sequence demands ordering).  A failed
+// attest or hop drops it back to kQueued; the library's next round or
+// finalize hears the failure, and the next kick re-attests under a fresh
+// transfer id and resyncs.
 
-Result<MigrationEnclave::PrecopyOutgoing*> MigrationEnclave::precopy_attempt(
+Result<MigrationEnclave::TransferTask*> MigrationEnclave::precopy_task(
     const sgx::Measurement& source_mr, const std::string& destination,
-    uint64_t nonce, const MigrationPolicy& policy) {
+    uint64_t nonce, const MigrationPolicy& policy,
+    const std::vector<CounterChunk>& chunks) {
   if (destination == platform().address() || nonce == 0) {
     return Status::kInvalidParameter;
   }
-  auto it = precopy_outgoing_.find(nonce);
-  if (it != precopy_outgoing_.end()) {
-    // The nonce identifies one (identity, destination) attempt: the
-    // library draws a fresh one on any re-route.
-    if (!(it->second.source_mr == source_mr) ||
-        it->second.destination_address != destination) {
-      return Status::kInvalidParameter;
-    }
-  } else {
-    PrecopyOutgoing attempt;
-    attempt.source_mr = source_mr;
-    attempt.destination_address = destination;
-    precopy_outgoing_[nonce] = std::move(attempt);
-    it = precopy_outgoing_.find(nonce);
+  auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) {
+    TransferTask task;
+    task.source_mr = source_mr;
+    task.request.destination_address = destination;
+    task.request.request_nonce = nonce;
+    task.precopy.emplace();
+    it = transfer_tasks_.emplace(nonce, std::move(task)).first;
+  } else if (!it->second.precopy.has_value() ||
+             !(it->second.source_mr == source_mr) ||
+             it->second.request.destination_address != destination) {
+    // The nonce identifies one (identity, destination) pre-copy attempt:
+    // the library draws a fresh one on any re-route.
+    return Status::kInvalidParameter;
   }
-  if (!it->second.channel.has_value()) {
-    // First contact, or the previous channel was dropped after a failed
-    // send: attest afresh under a new transfer id and re-ship everything
-    // merged so far (the destination converges by chunk generation no
-    // matter which records were lost).
-    const uint64_t transfer_id = draw_transfer_id();
-    if (transfer_id == 0) {
-      return Status::kAlreadyExists;  // retryable-busy: draw a fresh id
-    }
-    auto channel = attest_peer_me(destination, transfer_id, policy);
-    if (!channel.ok()) return channel.status();
-    it->second.transfer_id = transfer_id;
-    it->second.channel.emplace(std::move(channel).value());
-    it->second.resync = it->second.rounds > 0;
-  }
-  return &it->second;
+  TransferTask& task = it->second;
+  // A failed attest or hop since the last request answers this one, so
+  // the orchestrator can re-route before the freeze; a retry re-attests.
+  const Status failed = std::exchange(task.failure, Status::kOk);
+  if (failed != Status::kOk) return failed;
+  task.request.policy = policy;
+  task.precopy->policy_known = true;
+  merge_chunks(task.precopy->merged, chunks);
+  return &task;
 }
 
 LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
@@ -1688,60 +1693,31 @@ LibMsg MigrationEnclave::on_precopy_round(LaSessionState& session,
   LibMsg reply;
   reply.type = LibMsgType::kError;
   auto parsed = PrecopyRoundPayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!parsed.ok()) return lib_error(Status::kTampered);
   const PrecopyRoundPayload& round = parsed.value();
-  // By value: the inline pump can re-enter and erase the session.
-  const sgx::Measurement mr = session.peer.mr_enclave;
-  auto attempt = precopy_attempt(mr, round.destination_address,
-                                 round.request_nonce, round.policy);
-  if (!attempt.ok()) {
-    reply.status = attempt.status();
-    return reply;
-  }
-  merge_chunks(attempt.value()->merged, round.chunks);
+  const uint64_t nonce = round.request_nonce;
+  reply.status = precopy_task(session.peer.mr_enclave,
+                              round.destination_address, nonce, round.policy,
+                              round.chunks)
+                     .status();
   if (async_precopy()) {
     // Pipelined round hop: persist the merge, ack the library at once,
     // and let the hop ship behind the pump — rounds of different enclaves
     // overlap on the source lane.  The ack means "merged and durable at
     // the SOURCE ME"; the finalize proves end-to-end completeness via the
     // manifest.
-    const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      reply.status = persisted;
-      return reply;
-    }
-    kick_precopy_ship(round.request_nonce);
+    if (reply.status == Status::kOk) reply.status = persist_queue();
+    if (reply.status == Status::kOk) kick_precopy(nonce);
   } else {
-    Status shipped = ship_precopy_round_inline(round.request_nonce);
-    if (shipped == Status::kInvalidState) {
-      // The destination no longer knows this conversation (its staging
-      // was aged out, or its queue wiped): the failed hop dropped the
-      // channel, so one fresh attempt re-attests under a new transfer id
-      // and re-ships the whole merged set.
-      attempt = precopy_attempt(mr, round.destination_address,
-                                round.request_nonce, round.policy);
-      shipped = attempt.ok() ? ship_precopy_round_inline(round.request_nonce)
-                             : attempt.status();
-    }
-    if (shipped != Status::kOk) {
-      reply.status = shipped;
-      return reply;
-    }
-    const Status persisted = persist_queue();
-    if (persisted != Status::kOk) {
-      reply.status = persisted;
-      return reply;
-    }
+    if (reply.status == Status::kOk) reply.status = ship_precopy_inline(nonce);
+    if (reply.status == Status::kOk) reply.status = persist_queue();
   }
-  reply.type = LibMsgType::kPrecopyAck;
-  reply.status = Status::kOk;
+  if (reply.status == Status::kOk) reply.type = LibMsgType::kPrecopyAck;
   return reply;
 }
 
-std::vector<CounterChunk> MigrationEnclave::PrecopyOutgoing::unacked() const {
+std::vector<CounterChunk> MigrationEnclave::TransferTask::Precopy::unacked()
+    const {
   std::vector<CounterChunk> chunks;
   for (const auto& [index, chunk] : merged) {
     const auto front = acked.find(index);
@@ -1752,214 +1728,133 @@ std::vector<CounterChunk> MigrationEnclave::PrecopyOutgoing::unacked() const {
   return chunks;
 }
 
-void MigrationEnclave::kick_precopy_ship(uint64_t nonce) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) return;
-  if (attempt.staged_finalize.has_value()) {
-    // The library already committed the finalize: further round hops are
-    // moot — everything unacked rides inside the finalize record.
-    kick_precopy_finalize(nonce);
+void MigrationEnclave::kick_precopy(uint64_t nonce) {
+  const auto it = transfer_tasks_.find(nonce);
+  if (it == transfer_tasks_.end()) return;
+  TransferTask& task = it->second;
+  TransferTask::Precopy& precopy = *task.precopy;
+  if (task.step == TransferTask::Step::kQueued) {
+    // First contact, a restored task, or a failed attest/hop: attest
+    // afresh — but only with the policy of a library request.
+    if (precopy.policy_known) kick_task(nonce);
     return;
   }
-  // No channel means the last ship failed (or the ME restarted): the next
-  // library round or the finalize re-attests synchronously and resyncs.
-  if (!attempt.channel.has_value()) return;
+  if (task.step != TransferTask::Step::kIdle) return;
   auto* net = platform().network();
-  if (net == nullptr) return;
-  // One record per attempt in flight at a time (the channel's record
-  // sequence demands ordering); ship everything merged beyond what the
-  // destination has acked.
-  std::vector<CounterChunk> to_send = attempt.unacked();
-  if (to_send.empty()) return;
-  std::vector<ChunkManifestEntry> shipped;
-  for (const CounterChunk& chunk : to_send) {
-    shipped.push_back({chunk.index, chunk.generation});
-  }
-  PrecopyChunkRecord record;
-  record.source_mr_enclave = attempt.source_mr;
-  record.source_me_address = platform().address();
-  record.request_nonce = nonce;
-  record.round = attempt.rounds;
-  record.chunks = std::move(to_send);
-  const Bytes record_bytes = record.serialize();
-  charge_gcm(record_bytes.size());
+  if (net == nullptr) return fail_task(nonce, Status::kNetworkUnreachable);
+  // Everything merged beyond the destination's acked front (on resync:
+  // the whole merged set) rides along.  Once the library committed the
+  // finalize, round hops are moot: the finalize record carries the rest,
+  // and the manifest check at the destination proves completeness.
+  const auto stamp = [&](auto& record) {
+    record.source_mr_enclave = task.source_mr;
+    record.source_me_address = platform().address();
+    record.request_nonce = nonce;
+    record.chunks = precopy.unacked();
+  };
   MeRequest req;
-  req.type = MeMsgType::kPrecopyChunk;
-  req.id = attempt.transfer_id;
-  req.payload = attempt.channel->seal_record(record_bytes);
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kAwaitRoundAck;
-  const uint64_t transfer_id = attempt.transfer_id;
-  net->post(attempt.destination_address + "/me", req.serialize(),
+  req.id = task.transfer_id;
+  Bytes record_bytes;
+  std::vector<ChunkManifestEntry> shipped;
+  if (precopy.staged_finalize.has_value()) {
+    PrecopyFinalizeRecord record;
+    stamp(record);
+    record.round = precopy.staged_finalize->round;
+    record.manifest = precopy.staged_finalize->manifest;
+    record.msk = precopy.staged_finalize->msk;
+    record_bytes = record.serialize();
+    req.type = MeMsgType::kPrecopyFinalize;
+    task.step = TransferTask::Step::kAwaitFinalizeAck;
+  } else {
+    PrecopyChunkRecord record;
+    stamp(record);
+    if (record.chunks.empty()) return;
+    for (const CounterChunk& chunk : record.chunks) {
+      shipped.push_back({chunk.index, chunk.generation});
+    }
+    record.round = precopy.rounds;
+    record_bytes = record.serialize();
+    req.type = MeMsgType::kPrecopyChunk;
+    task.step = TransferTask::Step::kAwaitRoundAck;
+  }
+  charge_gcm(record_bytes.size());
+  req.payload = task.channel->seal_record(record_bytes);
+  net->post(task.request.destination_address + "/me", req.serialize(),
             net_endpoint(),
-            [this, nonce, transfer_id,
+            [this, nonce, transfer_id = task.transfer_id, step = task.step,
              shipped = std::move(shipped)](Result<Bytes> raw) {
-              precopy_on_round_ack(nonce, transfer_id, shipped,
-                                   std::move(raw));
+              precopy_on_ack(nonce, transfer_id, step, shipped,
+                             std::move(raw));
             });
 }
 
-MigrationEnclave::PrecopyOutgoing* MigrationEnclave::land_precopy_ack(
-    uint64_t nonce, uint64_t transfer_id, PrecopyOutgoing::ShipStep step,
-    const char* marker, const Result<Bytes>& raw) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return nullptr;  // finalized/aborted
-  PrecopyOutgoing& attempt = it->second;
-  if (attempt.ship_step != step || attempt.transfer_id != transfer_id) {
-    return nullptr;  // superseded by a resync re-attest — stale ack
-  }
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kIdle;
-  auto reply = open_task_reply(raw);
-  if (!reply.ok()) {
-    attempt.ship_failure = reply.status();
-  } else if (!attempt.channel.has_value()) {
-    attempt.ship_failure = Status::kInvalidState;
-  } else {
-    auto ack = attempt.channel->open_record(reply.value());
-    attempt.ship_failure = !ack.ok() ? ack.status()
-                           : to_string(ack.value()) != marker
-                               ? Status::kTampered
-                               : Status::kOk;
-  }
-  return &attempt;
-}
-
-void MigrationEnclave::precopy_on_round_ack(
-    uint64_t nonce, uint64_t transfer_id,
+void MigrationEnclave::precopy_on_ack(
+    uint64_t nonce, uint64_t transfer_id, TransferTask::Step step,
     const std::vector<ChunkManifestEntry>& shipped, Result<Bytes> raw) {
   auto scope = continuation_ecall();
-  PrecopyOutgoing* const landed =
-      land_precopy_ack(nonce, transfer_id,
-                       PrecopyOutgoing::ShipStep::kAwaitRoundAck,
-                       kPrecopyAckMarker, raw);
-  if (landed == nullptr) return;
-  PrecopyOutgoing& attempt = *landed;
-  if (attempt.ship_failure != Status::kOk) {
-    // The channel may have desynced (our seal advanced the send sequence,
-    // or the peer's ack advanced its own): drop it and resync over a
-    // fresh attestation on the next round or the finalize.  The merged
-    // state itself is kept — and persisted — so an ME restart resumes.
-    attempt.channel.reset();
-    attempt.resync = true;
+  const auto it = transfer_tasks_.find(nonce);
+  // Stale: finalized/aborted, or superseded by a resync re-attest.
+  if (it == transfer_tasks_.end() || it->second.step != step ||
+      it->second.transfer_id != transfer_id) {
+    return;
+  }
+  TransferTask& task = it->second;
+  TransferTask::Precopy& precopy = *task.precopy;
+  task.step = TransferTask::Step::kIdle;
+  const bool finalize = step == TransferTask::Step::kAwaitFinalizeAck;
+  if (finalize && !precopy.staged_finalize.has_value()) return;
+  auto reply = open_task_reply(raw);
+  auto ack = reply.ok() ? task.channel->open_record(reply.value())
+                        : Result<Bytes>(reply.status());
+  const char* marker = finalize ? kPrecopyFinMarker : kPrecopyAckMarker;
+  const Status verdict = !ack.ok() ? ack.status()
+                         : to_string(ack.value()) != marker
+                             ? Status::kTampered
+                             : Status::kOk;
+  if (verdict != Status::kOk) {
+    // kPrecopyIncomplete included: the next kick re-attests and re-ships
+    // the full merged set.  The dropped channel and resync flag are
+    // persisted, so an ME restart resumes the merged state.
+    fail_task(nonce, verdict);
     persist_queue();
     return;
   }
-  attempt.resync = false;
-  ++attempt.rounds;
+  if (finalize) {
+    const PrecopyFinalizePayload fin = std::move(*precopy.staged_finalize);
+    // Erases the task; the library now observes kAccepted.
+    finish_precopy_outgoing(nonce, fin);
+    return;
+  }
+  precopy.resync = false;
+  ++precopy.rounds;
   for (const ChunkManifestEntry& entry : shipped) {
-    auto acked = attempt.acked.find(entry.index);
-    if (acked == attempt.acked.end() || acked->second < entry.generation) {
-      attempt.acked[entry.index] = entry.generation;
+    auto acked = precopy.acked.find(entry.index);
+    if (acked == precopy.acked.end() || acked->second < entry.generation) {
+      precopy.acked[entry.index] = entry.generation;
     }
   }
   // No re-seal here: rounds/acked/channel-sequence are reconstruction
-  // state.  A restart restores the pre-ack snapshot, the stale channel
-  // sequence fails the next record, and the resync path re-ships the full
-  // merged set — the merge-side persist (durable-before-ack) already
-  // holds every chunk.  Sealing the whole queue once more per round ack
-  // would put O(queue) GCM work on the source lane's critical path.
-  // Rounds merged while this one was on the wire ship immediately — or
-  // the finalize, if the library committed one meanwhile.
-  kick_precopy_ship(nonce);
-}
-
-namespace {
-// How often a failed finalize is re-posted (re-attesting each time)
-// before the attempt is handed back to the library.
-constexpr uint32_t kFinalizeShipAttempts = 3;
-}  // namespace
-
-void MigrationEnclave::kick_precopy_finalize(uint64_t nonce) {
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return;
-  PrecopyOutgoing& attempt = it->second;
-  if (!attempt.staged_finalize.has_value()) return;
-  if (attempt.ship_step != PrecopyOutgoing::ShipStep::kIdle) return;
-  auto* net = platform().network();
-  if (net == nullptr) return;
-  if (!attempt.channel.has_value()) {
-    // The previous ship failed (or a round desynced the channel): one
-    // synchronous re-attest, bounded by the ship budget — precopy_attempt
-    // flips resync on, so the re-post carries the whole merged set.
-    auto fresh =
-        precopy_attempt(attempt.source_mr, attempt.destination_address, nonce,
-                        attempt.staged_finalize->policy);
-    if (!fresh.ok()) {
-      attempt.ship_failure = fresh.status();
-      if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
-        // Hand back to the library: its poll observes kNone (a
-        // synchronous finalize replies the failure) and the still frozen
-        // enclave re-drives the finalize (dedup'd).
-        attempt.staged_finalize.reset();
-      }
-      return;
-    }
-  }
-  // Everything merged beyond the destination's acked front rides inside
-  // the finalize record (on resync: the whole merged set); the manifest
-  // check at the destination proves completeness either way.
-  PrecopyFinalizeRecord record;
-  record.source_mr_enclave = attempt.source_mr;
-  record.source_me_address = platform().address();
-  record.request_nonce = nonce;
-  record.round = attempt.staged_finalize->round;
-  record.chunks = attempt.unacked();
-  record.manifest = attempt.staged_finalize->manifest;
-  record.msk = attempt.staged_finalize->msk;
-  const Bytes record_bytes = record.serialize();
-  charge_gcm(record_bytes.size());
-  MeRequest req;
-  req.type = MeMsgType::kPrecopyFinalize;
-  req.id = attempt.transfer_id;
-  req.payload = attempt.channel->seal_record(record_bytes);
-  attempt.ship_step = PrecopyOutgoing::ShipStep::kAwaitFinalizeAck;
-  const uint64_t transfer_id = attempt.transfer_id;
-  net->post(attempt.destination_address + "/me", req.serialize(),
-            net_endpoint(), [this, nonce, transfer_id](Result<Bytes> raw) {
-              precopy_on_finalize_ack(nonce, transfer_id, std::move(raw));
-            });
-}
-
-void MigrationEnclave::precopy_on_finalize_ack(uint64_t nonce,
-                                               uint64_t transfer_id,
-                                               Result<Bytes> raw) {
-  auto scope = continuation_ecall();
-  PrecopyOutgoing* const landed =
-      land_precopy_ack(nonce, transfer_id,
-                       PrecopyOutgoing::ShipStep::kAwaitFinalizeAck,
-                       kPrecopyFinMarker, raw);
-  if (landed == nullptr) return;
-  PrecopyOutgoing& attempt = *landed;
-  if (!attempt.staged_finalize.has_value()) return;
-  if (attempt.ship_failure != Status::kOk) {
-    // kPrecopyIncomplete included: resync re-ships the full merged set
-    // under a fresh attestation on the next kick.  Past the ship budget,
-    // hand the attempt back to the library.
-    attempt.channel.reset();
-    attempt.resync = true;
-    if (++attempt.finalize_attempts >= kFinalizeShipAttempts) {
-      attempt.staged_finalize.reset();
-    }
-    persist_queue();
-    return;
-  }
-  const PrecopyFinalizePayload fin = std::move(*attempt.staged_finalize);
-  // Invalidates `attempt`; the library now observes kAccepted.
-  finish_precopy_outgoing(nonce, fin);
+  // state.  A restart restores the pre-ack snapshot and re-attests on the
+  // next round, re-shipping the full merged set — the merge-side persist
+  // (durable-before-ack) already holds every chunk.  Sealing the whole
+  // queue once more per round ack would put O(queue) GCM work on the
+  // source lane's critical path.  Rounds merged while this one was on
+  // the wire ship immediately — or the finalize, if the library
+  // committed one meanwhile.
+  kick_precopy(nonce);
 }
 
 void MigrationEnclave::finish_precopy_outgoing(
     uint64_t nonce, const PrecopyFinalizePayload& fin) {
-  PrecopyOutgoing& live = precopy_outgoing_.at(nonce);
+  TransferTask& live = transfer_tasks_.at(nonce);
   // The destination assembled the authoritative snapshot: retain the
   // equivalent full copy until DONE, exactly like a full-snapshot
-  // transfer (§V-D), and retire the pre-copy attempt.
+  // transfer (§V-D), and retire the pre-copy task.
   MigrationData assembled;
   assembled.msk = fin.msk;
   for (const ChunkManifestEntry& entry : fin.manifest) {
-    const auto chunk = live.merged.find(entry.index);
-    if (chunk == live.merged.end()) continue;  // empty chunk: all inactive
+    const auto chunk = live.precopy->merged.find(entry.index);
+    if (chunk == live.precopy->merged.end()) continue;  // all inactive
     for (size_t s = 0; s < kPrecopyChunkSlots; ++s) {
       const size_t slot = entry.index * kPrecopyChunkSlots + s;
       assembled.counters_active[slot] = chunk->second.active[s];
@@ -1969,7 +1864,7 @@ void MigrationEnclave::finish_precopy_outgoing(
   }
   OutgoingTransfer transfer;
   transfer.source_mr = live.source_mr;
-  transfer.destination_address = live.destination_address;
+  transfer.destination_address = live.request.destination_address;
   transfer.request_nonce = nonce;
   transfer.retained_data = assembled.serialize();
   transfer.channel = std::move(live.channel);
@@ -1978,7 +1873,8 @@ void MigrationEnclave::finish_precopy_outgoing(
   latest_outgoing_[transfer.source_mr] = {transfer.sequence,
                                           OutgoingState::kPending};
   outgoing_[transfer_id] = std::move(transfer);
-  precopy_outgoing_.erase(nonce);
+  transfer_tasks_.erase(nonce);
+  trace_task_step(platform(), nonce, "retained");
   persist_queue();
 }
 
@@ -1987,17 +1883,15 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
   LibMsg reply;
   reply.type = LibMsgType::kError;
   auto parsed = PrecopyFinalizePayload::deserialize(msg.payload);
-  if (!parsed.ok()) {
-    reply.status = Status::kTampered;
-    return reply;
-  }
+  if (!parsed.ok()) return lib_error(Status::kTampered);
   const PrecopyFinalizePayload& fin = parsed.value();
+  const uint64_t nonce = fin.request_nonce;
   const sgx::Measurement& mr = session.peer.mr_enclave;
   // Idempotent re-finalize: if this attempt already became a retained (or
   // completed) transfer — the previous reply was lost — acknowledge
   // without shipping again (re-fencing a retained entry, like
   // dedup_against_queue).
-  const OutgoingFate fate = outgoing_fate(mr, fin.request_nonce);
+  const OutgoingFate fate = outgoing_fate(mr, nonce);
   if (fate.state != OutgoingState::kNone) {
     reply.status = fate.retained != nullptr ? persist_queue() : Status::kOk;
     if (reply.status == Status::kOk) {
@@ -2005,26 +1899,19 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
     }
     return reply;
   }
-  auto attempt = precopy_attempt(mr, fin.destination_address,
-                                 fin.request_nonce, fin.policy);
-  if (!attempt.ok()) {
-    reply.status = attempt.status();
-    return reply;
-  }
-  PrecopyOutgoing& live = *attempt.value();
-  merge_chunks(live.merged, fin.chunks);
-  // Staged behind any round still on the wire: the round's ack
-  // continuation kicks the finalize in order on the same channel.
-  live.staged_finalize = fin;
-  live.finalize_attempts = 0;
+  auto task =
+      precopy_task(mr, fin.destination_address, nonce, fin.policy, fin.chunks);
+  if (!task.ok()) return lib_error(task.status());
+  TransferTask::Precopy& precopy = *task.value()->precopy;
+  // Staged behind any hop still on the wire: its ack (or the attest)
+  // kicks the finalize in order on the same channel.
+  precopy.staged_finalize = fin;
+  precopy.finalize_attempts = 0;
   if (!async_precopy()) {
-    const Status shipped = ship_precopy_finalize_inline(fin.request_nonce);
-    if (shipped != Status::kOk) {
-      reply.status = shipped;
-      return reply;
+    reply.status = ship_precopy_inline(nonce);
+    if (reply.status == Status::kOk) {
+      reply.type = LibMsgType::kFinalizeAccepted;
     }
-    reply.type = LibMsgType::kFinalizeAccepted;
-    reply.status = Status::kOk;
     return reply;
   }
   // Pipelined finalize hop: ack the library immediately with
@@ -2034,15 +1921,13 @@ LibMsg MigrationEnclave::on_precopy_finalize_req(LaSessionState& session,
   // final delta is durable before the queued-ack, like every round; only
   // the manifest+msk envelope is memory-only (restart => the frozen
   // library re-finalizes, dedup'd by nonce).
-  const Status persisted = persist_queue();
-  if (persisted != Status::kOk) {
-    live.staged_finalize.reset();
-    reply.status = persisted;
+  reply.status = persist_queue();
+  if (reply.status != Status::kOk) {
+    precopy.staged_finalize.reset();
     return reply;
   }
-  kick_precopy_ship(fin.request_nonce);
+  kick_precopy(nonce);
   reply.type = LibMsgType::kMigrateQueued;
-  reply.status = Status::kOk;
   return reply;
 }
 
@@ -2064,9 +1949,10 @@ bool MigrationEnclave::async_precopy() {
 }
 
 bool MigrationEnclave::precopy_settled(uint64_t nonce) const {
-  const auto it = precopy_outgoing_.find(nonce);
-  return it == precopy_outgoing_.end() ||
-         it->second.ship_step == PrecopyOutgoing::ShipStep::kIdle;
+  const auto it = transfer_tasks_.find(nonce);
+  return it == transfer_tasks_.end() ||
+         it->second.step == TransferTask::Step::kIdle ||
+         it->second.step == TransferTask::Step::kQueued;
 }
 
 bool MigrationEnclave::pump_inline(const std::function<bool()>& done) {
@@ -2079,37 +1965,21 @@ bool MigrationEnclave::pump_inline(const std::function<bool()>& done) {
   return reached;
 }
 
-Status MigrationEnclave::ship_precopy_round_inline(uint64_t nonce) {
-  // Nothing dirty posts nothing, and there is nothing to wait for.
-  precopy_outgoing_.at(nonce).ship_failure = Status::kOk;
-  kick_precopy_ship(nonce);
-  if (!pump_inline([this, nonce] { return precopy_settled(nonce); })) {
-    return Status::kNetworkUnreachable;
-  }
-  const auto it = precopy_outgoing_.find(nonce);
-  if (it == precopy_outgoing_.end()) return Status::kMigrationAborted;
-  return it->second.ship_failure;
-}
-
-Status MigrationEnclave::ship_precopy_finalize_inline(uint64_t nonce) {
-  const auto settled = [this, nonce] { return precopy_settled(nonce); };
+Status MigrationEnclave::ship_precopy_inline(uint64_t nonce) {
   while (true) {
-    // A round still on the wire lands first; its ack kicks the finalize.
-    if (!pump_inline(settled)) return Status::kNetworkUnreachable;
-    const auto it = precopy_outgoing_.find(nonce);
-    if (it == precopy_outgoing_.end()) return Status::kOk;  // retired
-    PrecopyOutgoing& attempt = it->second;
-    // Ship budget spent: the attempt stays (channel dropped, resync set)
-    // for the library's next finalize.
-    if (!attempt.staged_finalize.has_value()) return attempt.ship_failure;
-    // A failed re-attest spends budget without posting; a kick that
-    // neither posts nor spends budget can never make progress.
-    const uint32_t tries = attempt.finalize_attempts;
-    kick_precopy_finalize(nonce);
-    if (attempt.ship_step == PrecopyOutgoing::ShipStep::kIdle &&
-        attempt.staged_finalize.has_value() &&
-        attempt.finalize_attempts == tries) {
+    // Attest if needed, then the hop (a round with nothing dirty posts
+    // nothing).  Every failed attest or hop spends ship budget while a
+    // finalize is staged, so the loop ends.
+    kick_precopy(nonce);
+    if (!pump_inline([this, nonce] { return precopy_settled(nonce); })) {
       return Status::kNetworkUnreachable;
+    }
+    const auto it = transfer_tasks_.find(nonce);
+    if (it == transfer_tasks_.end()) return Status::kOk;  // retired
+    // A settled round, or a finalize whose ship budget is spent (the task
+    // stays, channel dropped and resync set, for the library's retry).
+    if (!it->second.precopy->staged_finalize.has_value()) {
+      return std::exchange(it->second.failure, Status::kOk);
     }
   }
 }
@@ -2429,8 +2299,6 @@ MeResponse MigrationEnclave::on_precopy_finalize(const MeRequest& req) {
 // ----- pending-entry reconciliation (lost-ACCEPTED re-route orphans) ----
 
 Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
-  auto* net = platform().network();
-  if (net == nullptr) return Status::kNetworkUnreachable;
   const auto it = pending_.find(mr);
   if (it == pending_.end()) return Status::kNoPendingMigration;
   // Delivered (or delivering) data is protected by the pin, never swept.
@@ -2450,33 +2318,15 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   }
   it->second.last_reconcile = now_;
 
-  // Fresh mutually attested channel to the originating source ME: the
-  // verdict authorizes deleting migration state, so it must come from a
-  // genuine peer ME, not from whoever owns the network.
-  const uint64_t query_id = fresh_id();
-  auto channel = attest_peer_me(source_address, query_id, MigrationPolicy{});
-  if (!channel.ok()) return channel.status();
+  // Ask the originating source ME over a fresh attested channel.
   ReconcileQuery query;
   query.source_mr_enclave = mr;
   query.request_nonce = nonce;
-  MeRequest req;
-  req.type = MeMsgType::kReconcile;
-  req.id = query_id;
-  req.payload = channel.value().seal_record(query.serialize());
-  auto raw = net->rpc(source_address + "/me", req.serialize());
-  if (!raw.ok()) return raw.status();
-  auto resp = MeResponse::deserialize(raw.value());
-  if (!resp.ok()) return Status::kTampered;
-  if (resp.value().status != Status::kOk) return resp.value().status;
-  auto record = channel.value().open_record(resp.value().payload);
-  if (!record.ok()) return record.status();
-  BinaryReader r(record.value());
-  const std::string marker = r.str(64);
-  const uint8_t verdict = r.u8();
-  if (!r.done() || marker != kReconcileMarker || verdict > 1) {
-    return Status::kTampered;
-  }
-  if (static_cast<ReconcileVerdict>(verdict) != ReconcileVerdict::kSuperseded) {
+  auto verdict = query_peer_me(source_address, MeMsgType::kReconcile,
+                               query.serialize(), kReconcileMarker);
+  if (!verdict.ok()) return verdict.status();
+  if (static_cast<ReconcileVerdict>(verdict.value()) !=
+      ReconcileVerdict::kSuperseded) {
     return Status::kMigrationInProgress;
   }
   // The source ME vouches the identity completed a NEWER transfer and
@@ -2525,14 +2375,6 @@ size_t MigrationEnclave::sweep_superseded_outgoing() {
       ++it;
     }
   }
-  for (auto it = precopy_outgoing_.begin(); it != precopy_outgoing_.end();) {
-    if (moved_on(it->second.source_mr, it->first)) {
-      it = precopy_outgoing_.erase(it);
-      ++expired;
-    } else {
-      ++it;
-    }
-  }
   if (expired != 0) persist_queue();
   return expired;
 }
@@ -2549,10 +2391,10 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
   const sgx::Measurement& mr = parsed.value().source_mr_enclave;
   const uint64_t nonce = parsed.value().request_nonce;
 
-  const auto precopy = precopy_outgoing_.find(nonce);
+  const auto task = transfer_tasks_.find(nonce);
   const bool nonce_live =
       outgoing_fate(mr, nonce).state == OutgoingState::kPending ||
-      (precopy != precopy_outgoing_.end() && precopy->second.source_mr == mr);
+      (task != transfer_tasks_.end() && task->second.source_mr == mr);
   // Superseded = this ME has POSITIVE evidence the identity moved on (a
   // completed transfer under another nonce) and no live or completed
   // record of the queried attempt.  Anything ambiguous — including a
@@ -2676,6 +2518,28 @@ void serialize_chunk_map(BinaryWriter& w,
   for (const auto& [index, chunk] : chunks) chunk.serialize(w);
 }
 
+// An optional channel's state (flag first): the raw session key is wiped
+// from every temporary copy.
+void serialize_channel(BinaryWriter& w,
+                       const std::optional<net::SecureChannel>& channel) {
+  w.boolean(channel.has_value());
+  if (!channel.has_value()) return;
+  Bytes channel_state = channel->serialize_state();
+  w.bytes(channel_state);
+  secure_wipe(channel_state);
+}
+
+Status deserialize_channel(BinaryReader& r,
+                           std::optional<net::SecureChannel>& channel) {
+  if (!r.boolean()) return Status::kOk;
+  Bytes channel_state = r.bytes(64);
+  auto parsed = net::SecureChannel::deserialize_state(channel_state);
+  secure_wipe(channel_state);
+  if (!parsed.ok()) return Status::kTampered;
+  channel.emplace(std::move(parsed).value());
+  return Status::kOk;
+}
+
 Result<std::map<uint32_t, CounterChunk>> deserialize_chunk_map(
     BinaryReader& r) {
   const uint32_t count = r.u32();
@@ -2705,12 +2569,7 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(t.request_nonce);
     w.bytes(t.retained_data);
     w.u64(t.sequence);
-    w.boolean(t.channel.has_value());
-    if (t.channel.has_value()) {
-      Bytes channel_state = t.channel->serialize_state();
-      w.bytes(channel_state);
-      secure_wipe(channel_state);  // contains the raw session key
-    }
+    serialize_channel(w, t.channel);
   }
 
   w.u32(static_cast<uint32_t>(pending_.size()));
@@ -2771,24 +2630,24 @@ Bytes MigrationEnclave::serialize_queue() const {
   }
 
   // ----- live pre-copy state -----
-  // Source attempts (merged chunk sets + RA channels) and destination
-  // staging: an ME restart between rounds RESUMES the pre-copy instead of
-  // throwing away every round already shipped.
-  w.u32(static_cast<uint32_t>(precopy_outgoing_.size()));
-  for (const auto& [nonce, p] : precopy_outgoing_) {
+  // Source-side pre-copy tasks (merged chunk sets + RA channels) and
+  // destination staging: an ME restart between rounds RESUMES the
+  // pre-copy instead of throwing away every round already shipped.
+  uint32_t precopy_tasks = 0;
+  for (const auto& [nonce, t] : transfer_tasks_) {
+    precopy_tasks += t.precopy.has_value();
+  }
+  w.u32(precopy_tasks);
+  for (const auto& [nonce, t] : transfer_tasks_) {
+    if (!t.precopy.has_value()) continue;
     w.u64(nonce);
-    w.fixed(p.source_mr);
-    w.str(p.destination_address);
-    w.u64(p.transfer_id);
-    w.u32(p.rounds);
-    w.boolean(p.resync);
-    serialize_chunk_map(w, p.merged);
-    w.boolean(p.channel.has_value());
-    if (p.channel.has_value()) {
-      Bytes channel_state = p.channel->serialize_state();
-      w.bytes(channel_state);
-      secure_wipe(channel_state);  // contains the raw session key
-    }
+    w.fixed(t.source_mr);
+    w.str(t.request.destination_address);
+    w.u64(t.transfer_id);
+    w.u32(t.precopy->rounds);
+    w.boolean(t.precopy->resync);
+    serialize_chunk_map(w, t.precopy->merged);
+    serialize_channel(w, t.channel);
   }
   w.u32(static_cast<uint32_t>(precopy_staging_.size()));
   for (const auto& [mr, s] : precopy_staging_) {
@@ -2801,15 +2660,20 @@ Bytes MigrationEnclave::serialize_queue() const {
     w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
   }
 
-  // ----- pipelined TransferTasks -----
+  // ----- full-snapshot TransferTasks -----
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
   // every pipeline from the attest step under a fresh transfer id.
+  const auto durable_full = [](const TransferTask& t) {
+    return t.durable && !t.precopy.has_value();
+  };
   uint32_t durable_tasks = 0;
-  for (const auto& [nonce, t] : transfer_tasks_) durable_tasks += t.durable;
+  for (const auto& [nonce, t] : transfer_tasks_) {
+    durable_tasks += durable_full(t);
+  }
   w.u32(durable_tasks);
   for (const auto& [nonce, t] : transfer_tasks_) {
-    if (!t.durable) continue;
+    if (!durable_full(t)) continue;
     w.u64(nonce);
     w.fixed(t.source_mr);
     w.bytes(t.request.serialize());
@@ -2847,12 +2711,8 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     t.request_nonce = r.u64();
     t.retained_data = r.bytes(1u << 20);
     t.sequence = r.u64();
-    if (r.boolean()) {
-      Bytes channel_state = r.bytes(64);
-      auto channel = net::SecureChannel::deserialize_state(channel_state);
-      secure_wipe(channel_state);
-      if (!channel.ok()) return Status::kTampered;
-      t.channel.emplace(std::move(channel).value());
+    if (deserialize_channel(r, t.channel) != Status::kOk) {
+      return Status::kTampered;
     }
     outgoing[id] = std::move(t);
   }
@@ -2931,28 +2791,29 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     relays[id] = std::move(relay);
   }
 
-  std::map<uint64_t, PrecopyOutgoing> precopy_outgoing;
+  // Pre-copy tasks restore at kQueued WITHOUT a policy: the restored
+  // channel may be stale (round acks are not persisted), so the task
+  // re-attests — with the policy of the library's next round or finalize.
+  std::map<uint64_t, TransferTask> transfer_tasks;
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging;
   const uint32_t precopy_count = r.u32();
   for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
     const uint64_t nonce = r.u64();
-    PrecopyOutgoing p;
-    p.source_mr = r.fixed<32>();
-    p.destination_address = r.str(256);
-    p.transfer_id = r.u64();
-    p.rounds = r.u32();
-    p.resync = r.boolean();
+    TransferTask t;
+    t.precopy.emplace();
+    t.source_mr = r.fixed<32>();
+    t.request.destination_address = r.str(256);
+    t.request.request_nonce = nonce;
+    t.transfer_id = r.u64();
+    t.precopy->rounds = r.u32();
+    t.precopy->resync = r.boolean();
     auto merged = deserialize_chunk_map(r);
     if (!merged.ok()) return Status::kTampered;
-    p.merged = std::move(merged).value();
-    if (r.boolean()) {
-      Bytes channel_state = r.bytes(64);
-      auto channel = net::SecureChannel::deserialize_state(channel_state);
-      secure_wipe(channel_state);
-      if (!channel.ok()) return Status::kTampered;
-      p.channel.emplace(std::move(channel).value());
+    t.precopy->merged = std::move(merged).value();
+    if (deserialize_channel(r, t.channel) != Status::kOk) {
+      return Status::kTampered;
     }
-    precopy_outgoing[nonce] = std::move(p);
+    transfer_tasks[nonce] = std::move(t);
   }
   const uint32_t staging_count = r.u32();
   for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
@@ -2969,7 +2830,6 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
     precopy_staging[mr] = std::move(s);
   }
 
-  std::map<uint64_t, TransferTask> transfer_tasks;
   const uint32_t task_count = r.u32();
   for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
     const uint64_t nonce = r.u64();
@@ -3008,7 +2868,6 @@ Status MigrationEnclave::apply_queue(ByteView plaintext) {
   confirmed_incoming_ = std::move(confirmed_incoming);
   confirmed_incoming_order_ = std::move(confirmed_incoming_order);
   done_relays_ = std::move(relays);
-  precopy_outgoing_ = std::move(precopy_outgoing);
   precopy_staging_ = std::move(precopy_staging);
   transfer_tasks_ = std::move(transfer_tasks);
   peer_sessions_ = std::move(peer_sessions);

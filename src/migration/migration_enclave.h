@@ -69,47 +69,45 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
 
   // ----- outgoing transfers (one engine) -----
   //
-  // Every outgoing full snapshot runs as a per-transfer TransferTask:
-  // resumable steps (attest msg1/msg3 or cached resume -> ship ->
-  // await-accept -> retained) whose round trips travel through
-  // net::Network::post, so N concurrent outgoing transfers interleave
-  // over independent RA channels instead of serializing.
-  //  * kMigrateEnqueue / kMigrateReserve queue the task durably and reply
-  //    at once; a restarted ME resumes every in-flight pipeline
-  //    (re-attesting under a fresh transfer id; the request nonce makes
-  //    re-ships exactly-once end to end).  Terminal failures are held
-  //    until the library polls them (kPollTransfer).
+  // Every source-side attempt runs as a per-nonce TransferTask: resumable
+  // steps (attest msg1/msg3 or cached resume -> ship -> await ack) whose
+  // round trips travel through net::Network::post, so N concurrent
+  // attempts interleave over independent RA channels instead of
+  // serializing.
+  //  * kMigrateEnqueue / kMigrateReserve queue a full-snapshot task
+  //    durably and reply at once; a restarted ME resumes every in-flight
+  //    pipeline (re-attesting under a fresh transfer id; the request nonce
+  //    makes re-ships exactly-once end to end).  Terminal failures are
+  //    held until the library polls them (kPollTransfer).
   //  * the blocking kMigrateRequest inserts the same task and pumps the
   //    network inside its own ecall until the task is retained or failed,
   //    then replies kMigrateAccepted / kError.  The library still holds
   //    the data, so the task is not sealed before the accept.
+  //  * kPrecopyRound / kPrecopyFinalizeReq find-or-create a pre-copy task
+  //    that merges the shipped chunks, attests on the same posted steps
+  //    and then ships one round or finalize hop at a time.
 
   /// Re-issues the next step of every task that is not awaiting a reply
   /// (freshly queued, restored from the durable queue after a restart, or
-  /// whose conversation collapsed).  Returns the number of live tasks.
-  /// Drive this alongside Network::pump_one().
+  /// whose conversation collapsed) and, with asynchronous pre-copy, the
+  /// next hop of every idle pre-copy task.  Returns the number of live
+  /// tasks.  Drive this alongside Network::pump_one().
   size_t pump();
 
+  /// Live source-side attempts: full-snapshot and pre-copy tasks.
   size_t transfer_task_count() const { return transfer_tasks_.size(); }
 
   /// Pre-copy round and finalize hops always ship through the same
-  /// Network::post step machine (kick_precopy_ship / kick_precopy_finalize);
-  /// this only picks WHEN the library hears back.  On: kPrecopyRound is
-  /// acked once the chunks are merged + persisted at the SOURCE ME and
-  /// kPrecopyFinalizeReq replies kMigrateQueued (the library polls the
-  /// fate), so hops of different enclaves overlap on the wire.  Off: the
-  /// handler pumps the hop to completion inside its own ecall and replies
-  /// with the destination's verdict — except while a lane schedule owns
-  /// the wire (a pipelined orchestrator), where it replies as if on.
+  /// Network::post step machine; this only picks WHEN the library hears
+  /// back.  On: kPrecopyRound is acked once the chunks are merged +
+  /// persisted at the SOURCE ME (a failed attest or hop answers the next
+  /// round) and kPrecopyFinalizeReq replies kMigrateQueued (the library
+  /// polls the fate), so hops of different enclaves overlap on the wire.
+  /// Off: the handler pumps the hop to completion inside its own ecall
+  /// and replies with the destination's verdict — except while a lane
+  /// schedule owns the wire (a pipelined orchestrator), where it replies
+  /// as if on.
   void set_async_precopy(bool on) { async_precopy_ = on; }
-
-  /// Freeze-aware arm pacing: at most this many armed payloads may be in
-  /// flight before the poll stops reporting kSlotLive for parked
-  /// (kAwaitArm) tasks.  Keeps the freeze window of each reserved task
-  /// bounded by its OWN ship + accept, not the whole in-flight window's
-  /// serialized source-lane work.  0 = unpaced (every parked task goes
-  /// slot-live as soon as it is attested).
-  void set_arm_window(uint32_t window) { arm_window_ = window; }
 
   /// Test hook: simulates an ME re-deployment without a process restart —
   /// cached-resume peers must fall back to a full handshake.
@@ -187,11 +185,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// limit) over every undelivered pending entry; returns how many
   /// pending entries remain afterwards.
   size_t reconcile_all_pending();
-  /// sweep_superseded_outgoing: expires retained outgoing transfers,
-  /// pipelined transfer tasks, and source-side pre-copy attempts whose
-  /// enclave identity verifiably completed a NEWER migration from this
-  /// ME (a completion record under a different nonce, none under the
-  /// entry's own).  Returns how many entries were expired.
+  /// sweep_superseded_outgoing: expires retained outgoing transfers and
+  /// transfer tasks (full-snapshot or pre-copy) whose enclave identity
+  /// verifiably completed a NEWER migration from this ME (a completion
+  /// record under a different nonce, none under the entry's own).
+  /// Returns how many entries were expired.
   size_t sweep_superseded_outgoing();
 
   /// How long a delivery pin on pending incoming data survives without
@@ -217,8 +215,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   size_t la_session_count() const { return la_sessions_.size(); }
   size_t unrelayed_done_count() const { return done_relays_.size(); }
   OutgoingState outgoing_state(const sgx::Measurement& mr) const;
-  /// Live pre-copy attempts this ME is driving as the SOURCE side.
-  size_t precopy_outgoing_count() const { return precopy_outgoing_.size(); }
   /// Pre-copy attempts staged on this ME as the DESTINATION side (not yet
   /// finalized into a pending entry).
   size_t precopy_staging_count() const { return precopy_staging_.size(); }
@@ -276,43 +272,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     // to its source ME per retry just to re-learn it is live.
     Duration last_reconcile{};
   };
-  /// Source-side state of one live pre-copy attempt, keyed by the
-  /// library's request nonce: everything shipped so far (merged by chunk
-  /// generation) plus the RA channel to the destination.  Durable — an ME
-  /// restart between rounds resumes instead of restarting the pre-copy.
-  struct PrecopyOutgoing {
-    sgx::Measurement source_mr{};
-    std::string destination_address;
-    uint64_t transfer_id = 0;  // wire id of the ME<->ME conversation
-    uint32_t rounds = 0;
-    std::map<uint32_t, CounterChunk> merged;
-    std::optional<net::SecureChannel> channel;
-    /// Set when a send failed (channel possibly desynced): the next send
-    /// re-attests under a fresh transfer id and re-ships the whole merged
-    /// set, so the destination converges no matter what was lost.
-    bool resync = false;
-    // --- round / finalize shipping (memory-only) ---
-    enum class ShipStep : uint8_t {
-      kIdle = 0,           // nothing posted; kick when dirty > acked
-      kAwaitRoundAck = 1,  // a sealed round record is in flight
-      kAwaitFinalizeAck = 2  // the sealed finalize record is in flight
-    };
-    ShipStep ship_step = ShipStep::kIdle;
-    /// Highest generation per chunk index the destination ACKed.
-    std::map<uint32_t, uint64_t> acked;
-    /// Merged chunks beyond the acked front (all of them on resync): what
-    /// the next round or finalize record carries.
-    std::vector<CounterChunk> unacked() const;
-    /// Staged finalize, memory-only BY DESIGN: the record ships through
-    /// the deferred pump like a round hop.  An ME restart (or an
-    /// exhausted ship budget) drops it — the still-frozen library
-    /// observes kNone (async) or the failure (sync) and re-drives the
-    /// finalize, which the nonce dedup makes idempotent.
-    std::optional<PrecopyFinalizePayload> staged_finalize;
-    uint32_t finalize_attempts = 0;  // memory-only ship retry budget
-    /// Why the last hop failed: the synchronous reply's status.
-    Status ship_failure = Status::kOk;
-  };
   /// Destination-side staging of one pre-copy attempt, keyed by enclave
   /// identity: chunks merged by generation across rounds.  Durable; only
   /// the finalize manifest turns it into an authoritative pending entry.
@@ -326,11 +285,12 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// age-based sweep of staging whose source went away for good.
     Duration last_update{};
   };
-  /// One outgoing full-snapshot transfer, keyed by the library's request
-  /// nonce, as resumable steps.  A queued task's payload is durable from
-  /// kQueued on; the RA session and channel are per-attempt state — a
-  /// restarted ME re-runs the attest from scratch under a fresh transfer
-  /// id (the nonce keeps it exactly-once).
+  /// One source-side attempt, keyed by the library's request nonce, as
+  /// resumable steps: a full-snapshot transfer, or (precopy set) a live
+  /// pre-copy attempt.  Both attest through the same posted steps; the RA
+  /// session and channel are per-attempt state, so a restarted ME re-runs
+  /// the attest under a fresh transfer id (the nonce keeps it
+  /// exactly-once).
   struct TransferTask {
     enum class Step : uint8_t {
       kQueued = 0,       // nothing sent yet (fresh, restored, or resyncing)
@@ -340,10 +300,46 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
       kFailed = 4,       // terminal; `failure` held until polled
       kAwaitArm = 5,     // reserve-mode: attested, slot held, awaiting data
       kAwaitResume = 6,  // cached-session resume posted
+      // pre-copy only:
+      kIdle = 7,              // attested, no hop on the wire
+      kAwaitRoundAck = 8,     // a sealed round record is in flight
+      kAwaitFinalizeAck = 9,  // the sealed finalize record is in flight
+    };
+    /// Everything a pre-copy attempt shipped so far, merged by chunk
+    /// generation.  merged, rounds and resync are durable (with the
+    /// channel and transfer id) — an ME restart between rounds resumes
+    /// instead of restarting the pre-copy; the rest is memory-only.
+    struct Precopy {
+      uint32_t rounds = 0;
+      std::map<uint32_t, CounterChunk> merged;
+      /// Set when a hop failed (channel possibly desynced): the next
+      /// attest re-ships the whole merged set, so the destination
+      /// converges no matter what was lost.
+      bool resync = false;
+      /// Highest generation per chunk index the destination ACKed.
+      std::map<uint32_t, uint64_t> acked;
+      /// Merged chunks beyond the acked front (all of them on resync):
+      /// what the next round or finalize record carries.
+      std::vector<CounterChunk> unacked() const;
+      /// request.policy came from the library's latest round or finalize
+      /// (memory-only): a task restored without one waits for the next
+      /// request instead of attesting under a default policy.
+      bool policy_known = false;
+      /// Staged finalize, memory-only BY DESIGN: the record ships behind
+      /// the pump like a round hop.  An ME restart (or an exhausted ship
+      /// budget) drops it — the still-frozen library observes kNone
+      /// (async) or the failure (sync) and re-drives the finalize, which
+      /// the nonce dedup makes idempotent.
+      std::optional<PrecopyFinalizePayload> staged_finalize;
+      uint32_t finalize_attempts = 0;  // memory-only ship retry budget
     };
     sgx::Measurement source_mr{};
-    MigrateRequestPayload request;  // destination, nonce, policy, data
+    /// destination, nonce and policy; data only for a full snapshot.
+    MigrateRequestPayload request;
     Step step = Step::kQueued;
+    /// Full snapshot: the terminal failure.  Pre-copy: the last failed
+    /// attest or hop (the task is back at kQueued), replied on the
+    /// library's next round or finalize.
     Status failure = Status::kOk;
     uint64_t transfer_id = 0;  // current attempt's wire id
     std::unique_ptr<sgx::RaSession> ra;
@@ -355,6 +351,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
     /// false: a blocking kMigrateRequest's task.  The blocked library
     /// still holds the data, so no queue snapshot carries it.
     bool durable = true;
+    std::optional<Precopy> precopy;
   };
   /// Compact durable record of a confirmed outgoing transfer: enough to
   /// answer status queries and absorb duplicate DONEs idempotently after
@@ -464,42 +461,42 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                       Result<Bytes> raw);
   /// Post-attestation landing shared by the full and resumed paths:
   /// armed tasks ship the sealed TransferPayload (-> kAwaitAccept),
-  /// reserve-mode tasks park slot-live (-> kAwaitArm).
+  /// reserve-mode tasks park slot-live (-> kAwaitArm), pre-copy tasks
+  /// land idle and ship their next hop.
   void task_attested(uint64_t nonce, TransferTask& task);
   /// Seals + posts the task's TransferPayload (the tail of task_on_auth,
   /// shared with on_migrate_arm) -> kAwaitAccept.
   void ship_task_payload(uint64_t nonce, TransferTask& task);
-  // ----- pre-copy round shipping -----
-  /// Posts the next sealed round record of one idle attempt with unacked
-  /// merged chunks (or a full resync set); no-op when nothing is dirty.
-  void kick_precopy_ship(uint64_t nonce);
-  void precopy_on_round_ack(uint64_t nonce, uint64_t transfer_id,
-                            const std::vector<ChunkManifestEntry>& shipped,
-                            Result<Bytes> raw);
-  /// Posts the staged finalize record (everything merged beyond the acked
-  /// front rides along); re-attests first if the channel was dropped.
-  void kick_precopy_finalize(uint64_t nonce);
-  void precopy_on_finalize_ack(uint64_t nonce, uint64_t transfer_id,
-                               Result<Bytes> raw);
-  /// Opens a pumped pre-copy ack awaited at `step`: nullptr when stale
-  /// (attempt gone, or superseded by a re-attest); otherwise the attempt,
-  /// back at kIdle, with ship_failure set from the reply.
-  PrecopyOutgoing* land_precopy_ack(uint64_t nonce, uint64_t transfer_id,
-                                    PrecopyOutgoing::ShipStep step,
-                                    const char* marker,
-                                    const Result<Bytes>& raw);
+  // ----- pre-copy hops -----
+  /// Finds-or-creates the pre-copy task for (identity, destination,
+  /// nonce).  A pending failure is consumed and returned; otherwise the
+  /// library's policy is recorded for the attest and `chunks` merged.
+  Result<TransferTask*> precopy_task(const sgx::Measurement& source_mr,
+                                     const std::string& destination,
+                                     uint64_t nonce,
+                                     const MigrationPolicy& policy,
+                                     const std::vector<CounterChunk>& chunks);
+  /// Next step of one pre-copy task: a kQueued task with a known policy
+  /// attests (kick_task); an idle one posts the staged finalize record or
+  /// the next round record (no-op when nothing is dirty).
+  void kick_precopy(uint64_t nonce);
+  /// Continuation of a posted round (`shipped` advances the acked front)
+  /// or finalize record awaited at `step`; stale replies are ignored.
+  void precopy_on_ack(uint64_t nonce, uint64_t transfer_id,
+                      TransferTask::Step step,
+                      const std::vector<ChunkManifestEntry>& shipped,
+                      Result<Bytes> raw);
   /// Destination committed the finalize `fin`: assemble the retained
   /// full copy from the merged chunks + manifest, retire the pre-copy
-  /// attempt into outgoing_, persist.
+  /// task into outgoing_, persist.
   void finish_precopy_outgoing(uint64_t nonce,
                                const PrecopyFinalizePayload& fin);
-  /// Synchronous tails of kPrecopyRound / kPrecopyFinalizeReq: kick the
-  /// attempt's hop and pump it inside the handler's ecall.  The round
-  /// returns the hop's failure once the attempt is idle again; the
-  /// finalize re-kicks within the ship budget and returns kOk once the
-  /// destination's verdict retired the attempt.
-  Status ship_precopy_round_inline(uint64_t nonce);
-  Status ship_precopy_finalize_inline(uint64_t nonce);
+  /// Synchronous tail of kPrecopyRound / kPrecopyFinalizeReq: kicks the
+  /// task and pumps it inside the handler's ecall until it settles,
+  /// re-kicking a staged finalize within its ship budget.  Returns the
+  /// failure of the last attest or hop, kOk once settled cleanly or
+  /// retired by the destination's verdict.
+  Status ship_precopy_inline(uint64_t nonce);
   /// Whether a handler may pump the network inside its own ecall: not
   /// while a lane schedule is installed, whose owner alone drives the
   /// wire (a nested pump would run other lanes' events on this lane and
@@ -509,7 +506,7 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// the wire (e.g. for an ME restarted mid pipelined drain, which comes
   /// back with the setting off).
   bool async_precopy();
-  /// The attempt for `nonce` is gone or has no hop on the wire.
+  /// The pre-copy task for `nonce` is gone or has nothing on the wire.
   bool precopy_settled(uint64_t nonce) const;
   /// Runs the network until `done()` holds, with the pumped continuations
   /// nested in the calling handler's ecall; false if the wire went idle
@@ -521,6 +518,9 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   /// Parses a pumped MeResponse reply; non-kOk peers and transport
   /// failures collapse to a Status.
   static Result<Bytes> open_task_reply(const Result<Bytes>& raw);
+  /// A full-snapshot task turns kFailed; a pre-copy task drops back to
+  /// kQueued (channel dropped, resync set, the failure kept for the
+  /// library), spending finalize ship budget while a finalize is staged.
   void fail_task(uint64_t nonce, Status status);
   /// cancel_posts tag + reply-lane key for this ME's deferred traffic.
   std::string net_endpoint() const;
@@ -531,14 +531,20 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
                               uint64_t nonce,
                               const std::string& destination_address);
 
-  /// Blocking mutual RA handshake + provider auth + policy against a peer
-  /// ME over rpc (cached-session resume first): pre-copy first contact
-  /// and re-attest, the abort and the reconcile sweep.  On success the
-  /// returned channel is ready to seal records for `transfer_id` at the
-  /// peer.
+  /// Blocking mutual RA handshake + provider auth against a peer ME over
+  /// rpc (cached-session resume first), under the default policy.  It
+  /// serves only the one-shot abort and reconcile conversations (see
+  /// query_peer_me); every transfer attests on the TransferTask steps.
+  /// On success the returned channel is ready to seal records for
+  /// `transfer_id` at the peer.
   Result<net::SecureChannel> attest_peer_me(
-      const std::string& destination_address, uint64_t transfer_id,
-      const MigrationPolicy& policy);
+      const std::string& destination_address, uint64_t transfer_id);
+  /// One attested one-shot ME<->ME query: attests `peer` under a fresh
+  /// id, sends `body` sealed as a `type` request, and opens the reply,
+  /// which must be the `marker` string followed by one byte of 0 or 1
+  /// (returned).
+  Result<uint8_t> query_peer_me(const std::string& peer, MeMsgType type,
+                                const Bytes& body, const char* marker);
 
   // Handshake halves shared by attest_peer_me and the TransferTask steps;
   // each consumes one peer reply.
@@ -564,14 +570,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   Result<net::SecureChannel> handshake_channel(
       const sgx::RaSession& ra, const std::string& destination_address,
       const MigrationPolicy& policy, const Result<Bytes>& raw);
-
-  /// Finds-or-creates the source-side pre-copy attempt for (session
-  /// identity, nonce), re-attesting (fresh transfer id + resync) when the
-  /// channel is missing or was dropped after a failed send.
-  Result<PrecopyOutgoing*> precopy_attempt(const sgx::Measurement& source_mr,
-                                           const std::string& destination,
-                                           uint64_t nonce,
-                                           const MigrationPolicy& policy);
 
   /// Destination-side staging upsert shared by chunk and finalize
   /// records: supersedes an abandoned attempt (fresh nonce/source),
@@ -633,7 +631,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   std::map<uint64_t, OutgoingTransfer> outgoing_;
   std::map<uint64_t, TransferTask> transfer_tasks_;  // by request nonce
   std::map<sgx::Measurement, PendingIncoming> pending_;
-  std::map<uint64_t, PrecopyOutgoing> precopy_outgoing_;  // by request nonce
   std::map<sgx::Measurement, PrecopyStaging> precopy_staging_;
   // Per-identity latest outgoing state (sequence, state): O(log n) status
   // queries instead of scanning every transfer ever made.
@@ -664,7 +661,6 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   bool async_precopy_ = false;
   // Set while a blocking handler pumps the network inside its ecall.
   bool pumping_inline_ = false;
-  uint32_t arm_window_ = 2;
 
   std::unique_ptr<PersistenceEngine> engine_;
   std::optional<sgx::SealContext> queue_seal_ctx_;

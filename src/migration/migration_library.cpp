@@ -753,9 +753,7 @@ MigrationStartResult MigrationLibrary::stage_for_migration(
     if (staged_nonce_ != 0 && !staged_destination_.empty()) {
       notify_abort_stale(staged_nonce_, staged_destination_);
     }
-    const Bytes nonce_bytes = host_.rng().bytes(8);
-    staged_nonce_ = load_be64(nonce_bytes.data());
-    if (staged_nonce_ == 0) staged_nonce_ = 1;
+    staged_nonce_ = draw_attempt_nonce();
     staged_destination_ = destination_address;
     enqueue_pending_ = false;  // an old queued attempt is superseded
   }
@@ -796,18 +794,22 @@ MigrationStartResult MigrationLibrary::stage_for_migration(
 }
 
 void MigrationLibrary::finish_outgoing(uint64_t payload_bytes) {
-  const uint64_t nonce = staged_nonce_;
+  // A pre-copy finalize (synchronous or queued) completes under its own
+  // nonce; a full snapshot under the staged one.
+  const bool precopy = finalize_staged_;
+  const uint64_t nonce = precopy ? precopy_nonce_ : staged_nonce_;
   last_freeze_window_ = now() - freeze_started_;
   trace_freeze_end();
   last_transfer_bytes_ = payload_bytes;
-  last_precopy_rounds_ = async_finalize_pending_ ? precopy_rounds_ : 0;
-  if (async_finalize_pending_) {
-    // A queued pre-copy finalize just completed: run the deferred
-    // teardown the synchronous finalize epilogue would have run, OUTSIDE
-    // the freeze window.  The epoch increment already made every sealed
-    // buffer unusable, so one logical retire is enough — the flash slots
-    // are swept by platform firmware later, off this drain's clock.
-    if (!counters_destroyed_) {
+  last_precopy_rounds_ = precopy ? precopy_rounds_ : 0;
+  if (precopy) {
+    // Deferred teardown, OUTSIDE the freeze window: the epoch increment
+    // already made every sealed buffer unusable, so these hardware
+    // counters are unreachable garbage — retire them all in one logical
+    // op (a failure leaks quota on a machine this enclave just left,
+    // never state).  Physical slot reclaim is the platform's background
+    // sweep.  The epoch-guard drill skips it like the increment.
+    if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
       (void)host_.counter_retire_all();
       counters_destroyed_ = true;
     }
@@ -824,6 +826,12 @@ void MigrationLibrary::finish_outgoing(uint64_t payload_bytes) {
   enqueue_pending_ = false;
   enqueued_bytes_ = 0;
   trace_attempt_done(nonce, payload_bytes);
+}
+
+uint64_t MigrationLibrary::draw_attempt_nonce() {
+  const Bytes nonce_bytes = host_.rng().bytes(8);
+  const uint64_t nonce = load_be64(nonce_bytes.data());
+  return nonce == 0 ? 1 : nonce;
 }
 
 void MigrationLibrary::notify_abort_stale(uint64_t nonce,
@@ -953,9 +961,7 @@ MigrationStartResult MigrationLibrary::migration_reserve_detailed(
     if (staged_nonce_ != 0 && !staged_destination_.empty()) {
       notify_abort_stale(staged_nonce_, staged_destination_);
     }
-    const Bytes nonce_bytes = host_.rng().bytes(8);
-    staged_nonce_ = load_be64(nonce_bytes.data());
-    if (staged_nonce_ == 0) staged_nonce_ = 1;
+    staged_nonce_ = draw_attempt_nonce();
     staged_destination_ = destination_address;
   }
   staged_policy_ = policy;
@@ -1153,9 +1159,7 @@ void MigrationLibrary::reset_precopy(const std::string& destination_address) {
       precopy_destination_ != destination_address) {
     notify_abort_stale(precopy_nonce_, precopy_destination_);
   }
-  const Bytes nonce_bytes = host_.rng().bytes(8);
-  precopy_nonce_ = load_be64(nonce_bytes.data());
-  if (precopy_nonce_ == 0) precopy_nonce_ = 1;
+  precopy_nonce_ = draw_attempt_nonce();
   precopy_destination_ = destination_address;
   shipped_generation_ = {};
   staged_chunks_.clear();
@@ -1364,9 +1368,7 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     // mistaken for success toward the new one).  The old destination's
     // staging/pending entry is an orphan — abort it proactively.
     notify_abort_stale(precopy_nonce_, precopy_destination_);
-    const Bytes nonce_bytes = host_.rng().bytes(8);
-    precopy_nonce_ = load_be64(nonce_bytes.data());
-    if (precopy_nonce_ == 0) precopy_nonce_ = 1;
+    precopy_nonce_ = draw_attempt_nonce();
     precopy_destination_ = destination_address;
     final_chunks_.clear();
     for (const auto& [index, chunk] : staged_chunks_) {
@@ -1487,27 +1489,7 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
 
   // The destination ME holds the authoritative snapshot: the freeze
   // window ends here.
-  const uint64_t accepted_nonce = precopy_nonce_;
-  last_freeze_window_ = now() - freeze_started_;
-  trace_freeze_end();
-  last_transfer_bytes_ = precopy_bytes_ + request.payload.size();
-  last_precopy_rounds_ = precopy_rounds_;
-
-  // Deferred teardown, OUTSIDE the freeze window: the epoch increment
-  // already made every sealed buffer unusable, so these hardware counters
-  // are unreachable garbage — retire them all in one logical op (a
-  // failure leaks quota on a machine this enclave just left, never
-  // state).  Physical slot reclaim is the platform's background sweep.
-  if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
-    (void)host_.counter_retire_all();
-    counters_destroyed_ = true;
-  }
-  precopy_destination_.clear();
-  precopy_nonce_ = 0;
-  staged_chunks_.clear();
-  final_chunks_.clear();
-  finalize_staged_ = false;
-  trace_attempt_done(accepted_nonce, last_transfer_bytes_);
+  finish_outgoing(precopy_bytes_ + request.payload.size());
   return MigrationStartResult{};
 }
 

@@ -357,9 +357,12 @@ class MigrationLibrary : private PersistSink {
   /// reconcile sweep.  Failures are ignored — the sweep remains the
   /// backstop.
   void notify_abort_stale(uint64_t nonce, const std::string& old_destination);
-  /// Shared success tail of the start/enqueue paths: freeze-window and
-  /// payload metrics, staged state cleared.
+  /// Shared success tail of every outgoing path (blocking start, polled
+  /// enqueue, synchronous or queued pre-copy finalize): freeze-window and
+  /// payload metrics, the pre-copy teardown, staged state cleared.
   void finish_outgoing(uint64_t payload_bytes);
+  /// Fresh nonzero attempt nonce (one 8-byte RNG draw).
+  uint64_t draw_attempt_nonce();
   /// kSlotLive landing of a reserved attempt: records the live queue
   /// wait, runs the destructive stage (freeze+collect+destroy+persist)
   /// and ships the armed payload to the parked TransferTask.
@@ -468,8 +471,8 @@ class MigrationLibrary : private PersistSink {
   bool finalize_staged_ = false;
   // Set when an async source ME queued the staged finalize instead of
   // shipping it inline (reply kMigrateQueued): the enclave stays frozen
-  // and the poll machinery owns the outcome — kAccepted runs the
-  // pre-copy teardown in finish_outgoing, kNone re-drives the finalize.
+  // and the poll machinery owns the outcome — kAccepted runs
+  // finish_outgoing, kNone re-drives the finalize.
   bool async_finalize_pending_ = false;
   // One epoch increment per outgoing pre-copy migration: like the counter
   // destroys of the full-snapshot path, it must never run twice.

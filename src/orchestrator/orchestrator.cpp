@@ -666,10 +666,7 @@ void Orchestrator::run_event_loop(net::Network& net) {
       // lanes.
       for (platform::Machine* m : machines_) {
         auto* me = migration::me_on(*m);
-        if (me == nullptr || (me->transfer_task_count() == 0 &&
-                              me->precopy_outgoing_count() == 0)) {
-          continue;
-        }
+        if (me == nullptr || me->transfer_task_count() == 0) continue;
         ++stats_.pump_kicks;
         lanes_->run(m->address(), lanes_->control(), [&] { me->pump(); });
       }

@@ -149,29 +149,33 @@ class ChaosTest : public ::testing::Test {
     return id;
   }
 
-  void settle() {
-    for (int i = 0; i < 8; ++i) {
-      bool quiet = true;
-      for (platform::Machine* m : world_.machines()) {
-        auto* me = migration::me_on(*m);
-        if (me == nullptr) continue;
-        if (me->pending_incoming_count() != 0 ||
-            me->retry_done_relays() != 0 || me->outgoing_count() != 0 ||
-            me->transfer_task_count() != 0) {
-          quiet = false;
-        }
-      }
-      if (quiet) break;
-      world_.clock().advance(std::chrono::seconds(1));
-      for (platform::Machine* m : world_.machines()) {
-        auto* me = migration::me_on(*m);
-        if (me == nullptr) continue;
-        me->pump();
-        me->sweep_superseded_outgoing();
-        me->reconcile_all_pending();
-      }
-      world_.network().pump_all();
+  // The seeded violation: without the epoch guard, migrating away no
+  // longer invalidates the pre-drain sealed snapshot, so replaying it
+  // afterwards yields a second live instance — exactly what the oracle
+  // exists to catch.  `pipelined` drains through asynchronous source MEs.
+  void expect_fork_without_epoch_guard(bool pipelined) {
+    build_world(2);
+    for (platform::Machine* m : world_.machines()) {
+      migration::me_on(*m)->set_async_precopy(pipelined);
     }
+    const uint64_t id = launch("m0", "fork-app", /*live_transfer=*/true, 3);
+    fleet_.enclave(id)->chaos_disable_epoch_guard();
+
+    ConvergenceOracle oracle(fleet_, "m0");
+    oracle.capture();
+    Scheduler scheduler(fleet_);
+    OrchestratorOptions options;
+    options.transfer_mode = TransferMode::kPrecopy;
+    options.pipelined = pipelined;
+    Orchestrator orch(fleet_, scheduler, options);
+    const OrchestratorReport report = orch.execute(Plan::drain("m0"));
+    ASSERT_EQ(report.failed(), 0u);
+
+    bool fork_reported = false;
+    for (const auto& finding : oracle.verify(report)) {
+      if (finding.check == "fork") fork_reported = true;
+    }
+    EXPECT_TRUE(fork_reported);
   }
 
   void TearDown() override {
@@ -258,7 +262,7 @@ TEST_F(ChaosTest, CrashRestartFireAtTheirWavesExactlyOnce) {
   executor.arm(orch);
   const OrchestratorReport report = orch.execute(Plan::drain("m0"));
   executor.disarm();
-  settle();
+  chaos::settle_queues(world_);
 
   // Despite losing its source ME mid-drain, the fleet converges; the
   // crash and its paired restart each fired exactly once.
@@ -270,29 +274,14 @@ TEST_F(ChaosTest, CrashRestartFireAtTheirWavesExactlyOnce) {
 }
 
 TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuard) {
-  build_world(2);
-  const uint64_t id = launch("m0", "fork-app", /*live_transfer=*/true, 3);
-  // The seeded violation: without the epoch guard, migrating away no
-  // longer invalidates the pre-drain sealed snapshot, so replaying it
-  // afterwards yields a second live instance — exactly what the oracle
-  // exists to catch.
-  fleet_.enclave(id)->chaos_disable_epoch_guard();
+  expect_fork_without_epoch_guard(/*pipelined=*/false);
+}
 
-  ConvergenceOracle oracle(fleet_, "m0");
-  oracle.capture();
-  Scheduler scheduler(fleet_);
-  OrchestratorOptions options;
-  options.transfer_mode = TransferMode::kPrecopy;
-  Orchestrator orch(fleet_, scheduler, options);
-  const OrchestratorReport report = orch.execute(Plan::drain("m0"));
-  ASSERT_EQ(report.failed(), 0u);
-
-  const auto findings = oracle.verify(report);
-  bool fork_reported = false;
-  for (const auto& finding : findings) {
-    if (finding.check == "fork") fork_reported = true;
-  }
-  EXPECT_TRUE(fork_reported);
+// The same drill on the queued finalize: an asynchronous source ME
+// answers kMigrateQueued and the poll runs the library's success tail,
+// which must skip the deferred retire just like the synchronous one.
+TEST_F(ChaosTest, ForkOracleCatchesDisabledEpochGuardOnQueuedFinalize) {
+  expect_fork_without_epoch_guard(/*pipelined=*/true);
 }
 
 TEST_F(ChaosTest, ForkOracleCleanWhenEpochGuardArmed) {
@@ -373,7 +362,7 @@ TEST_F(ChaosTest, SeededStormDrainConvergesWithoutForks) {
   executor.arm(orch);
   const OrchestratorReport report = orch.execute(Plan::drain("m0"));
   executor.disarm();
-  settle();
+  chaos::settle_queues(world_);
 
   const auto findings = oracle.verify(report);
   for (const auto& finding : findings) {

@@ -5,8 +5,9 @@
 // resume of in-flight pipelines across source-ME restarts, exactly-once
 // completion per nonce under response loss, orchestrated pipelined drains
 // under mixed fault storms (tamper + reply loss + ME crashes) with zero
-// forks, the cap actually buying wall time, and the proactive re-route
-// abort + staging age sweep.
+// forks, the cap actually buying wall time, a pipelined pre-copy drain
+// attesting on the posted task steps (no rpc from the source ME), and the
+// proactive re-route abort + staging age sweep.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -511,6 +512,75 @@ TEST_F(PipelineTest, PipelinedDrainConvergesThroughMixedFaultStorm) {
     EXPECT_EQ(me(address)->transfer_task_count(), 0u) << address;
   }
   EXPECT_EQ(me("m0")->outgoing_count(), 0u);
+}
+
+// ----- pre-copy on the one engine: no source-ME rpc -----
+
+TEST_F(PipelineTest, PipelinedPrecopyDrainMakesNoRpcFromTheSourceMe) {
+  world_.add_machine("m3");
+  for (platform::Machine* m : world_.machines()) {
+    migration::me_on(*m)->set_async_precopy(true);
+  }
+  orchestrator::FleetRegistry fleet(world_);
+  orchestrator::LaunchOptions launch;
+  launch.live_transfer = true;
+  for (int i = 0; i < 8; ++i) {
+    const std::string name = "pc-" + std::to_string(i);
+    auto* enclave = fleet.enclave(
+        fleet.launch("m0", name, EnclaveImage::create(name, 1, "acme"), launch)
+            .value());
+    enclave->ecall_increment_migratable_counter(
+        enclave->ecall_create_migratable_counter().value().counter_id);
+  }
+
+  // An ME<->ME request leaving while one of the source ME's own handlers
+  // runs is an rpc: posted hops reach the wire only from the
+  // orchestrator's pump step.
+  net::Network& net = world_.network();
+  MigrationEnclave* source = me("m0");
+  int in_source = 0;
+  net.register_endpoint("m0/me", [&](ByteView raw) {
+    ++in_source;
+    auto reply = source->handle_request(raw);
+    --in_source;
+    return reply;
+  });
+  uint64_t me_to_me = 0;
+  uint64_t source_rpcs = 0;
+  net.set_tamper_hook([&](const std::string& to, Bytes& request) {
+    if (to == "m0/me" || to.find("/me") == std::string::npos) return true;
+    auto parsed = MeRequest::deserialize(request);
+    if (!parsed.ok()) return true;
+    const MeMsgType type = parsed.value().type;
+    // A restored destination enclave talking to its own ME.
+    if (type == MeMsgType::kLaStart || type == MeMsgType::kLaMsg2 ||
+        type == MeMsgType::kLaRecord) {
+      return true;
+    }
+    ++me_to_me;
+    if (in_source > 0) ++source_rpcs;
+    return true;
+  });
+
+  orchestrator::Scheduler scheduler(fleet);
+  orchestrator::OrchestratorOptions options;
+  options.max_inflight_per_machine = 4;
+  options.max_inflight_total = 8;
+  options.transfer_mode = orchestrator::TransferMode::kPrecopy;
+  options.pipelined = true;
+  orchestrator::Orchestrator orch(fleet, scheduler, options);
+  const auto report = orch.execute(orchestrator::Plan::drain("m0"));
+  net.clear_tamper_hook();
+
+  EXPECT_EQ(report.succeeded(), 8u);
+  EXPECT_EQ(report.failed(), 0u);
+  EXPECT_GT(me_to_me, 0u);
+  EXPECT_EQ(source_rpcs, 0u);
+  // One handshake per attempt, all of them on the posted task steps.
+  EXPECT_EQ(source->full_handshake_count() + source->resumed_handshake_count(),
+            8u);
+  EXPECT_EQ(source->transfer_task_count(), 0u);
+  EXPECT_EQ(source->outgoing_count(), 0u);
 }
 
 // ----- proactive abort on re-route + staging age sweep -----

@@ -4,8 +4,11 @@
 // chaos paths — dropped mid-round chunks, lost acks, ME restarts between
 // rounds, lost finalize replies, a destination that lost its staging
 // before the finalize — all of which must resume or supersede with no
-// forked state.  The source ME here is synchronous: every round and the
-// finalize are pumped to the destination's verdict before the reply.
+// forked state.  The source ME here is synchronous unless a test says
+// otherwise: every round and the finalize are pumped to the
+// destination's verdict before the reply.  A restored pre-copy task
+// attests only with the policy of the library's next round, and an
+// asynchronous round hears a failed attest on the next round.
 // Also covers the pending-entry reconciliation sweep (lost-ACCEPTED
 // re-route orphan) and the orchestrated 32-enclave pre-copy drain
 // through ME restarts.
@@ -125,7 +128,7 @@ TEST_F(PrecopyTest, RoundsShipOnlyDirtyChunksAndPreserveValues) {
   EXPECT_EQ(me("m1")->pending_incoming_count(), 1u);
   EXPECT_EQ(me("m0")->outgoing_state(image_->mr_enclave()),
             OutgoingState::kPending);
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
   EXPECT_EQ(world_.network().pending_events(), 0u);
   enclave.reset();
 
@@ -283,7 +286,7 @@ TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
     ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
   }
   ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
   const Bytes stale = enclave->sealed_state();
 
@@ -292,7 +295,7 @@ TEST_F(PrecopyTest, MeRestartsBetweenRoundsResumeFromDurableQueue) {
   // restored from the sealed queues.
   restart_me("m0");
   restart_me("m1");
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 1u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
   EXPECT_EQ(me("m1")->precopy_staging_count(), 1u);
 
   enclave->ecall_increment_migratable_counter(11);
@@ -386,7 +389,7 @@ TEST_F(PrecopyTest, SyncMeUnderLaneScheduleLeavesHopsToTheScheduleOwner) {
   }
   EXPECT_EQ(fin.status, Status::kMigrationInProgress) << fin.message;
   ASSERT_TRUE(polled.ok()) << polled.message;
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
   EXPECT_EQ(me("m0")->outgoing_count(), 1u);
   enclave.reset();
 
@@ -427,7 +430,7 @@ TEST_F(PrecopyTest, SyncFinalizeResyncsAfterDestinationLostStaging) {
   world_.network().clear_tamper_hook();
   ASSERT_TRUE(fin.ok()) << fin.message;
   EXPECT_EQ(finalize_records, 2);
-  EXPECT_EQ(me("m0")->precopy_outgoing_count(), 0u);
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
   EXPECT_EQ(me("m0")->outgoing_count(), 1u);
   enclave.reset();
 
@@ -436,6 +439,97 @@ TEST_F(PrecopyTest, SyncFinalizeResyncsAfterDestinationLostStaging) {
             Status::kOk);
   EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 1u);
   EXPECT_EQ(moved->active_counters(), 20u);
+}
+
+TEST_F(PrecopyTest, RestoredTaskWaitsForTheNextRoundsPolicy) {
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  restart_me("m0");
+  ASSERT_EQ(me("m0")->transfer_task_count(), 1u);
+
+  int handshakes = 0;
+  world_.network().set_tamper_hook(
+      [&handshakes](const std::string& to, Bytes& request) {
+        auto parsed = MeRequest::deserialize(request);
+        if (to == "m1/me" && parsed.ok() &&
+            (parsed.value().type == MeMsgType::kRaMsg1 ||
+             parsed.value().type == MeMsgType::kSessionResume)) {
+          ++handshakes;
+        }
+        return true;
+      });
+  // The policy of the library's rounds is memory-only: the restored task
+  // has none, so even an asynchronous pump leaves it unattested.
+  me("m0")->set_async_precopy(true);
+  me("m0")->pump();
+  world_.network().pump_all();
+  EXPECT_EQ(handshakes, 0);
+  me("m0")->set_async_precopy(false);
+
+  // The next round brings its policy, and the attest evaluates it: this
+  // one denies m1, so the round fails instead of shipping.
+  migration::MigrationPolicy deny_m1;
+  deny_m1.denied_addresses = {"m1"};
+  EXPECT_EQ(enclave->ecall_migration_precopy_round("m1", deny_m1).status(),
+            Status::kPolicyViolation);
+  EXPECT_EQ(handshakes, 0);  // denied against the cached credential
+
+  // An unrestricted round re-attests, resyncs, and the migration lands.
+  enclave->ecall_increment_migratable_counter(2);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  EXPECT_EQ(handshakes, 1);
+  world_.network().clear_tamper_hook();
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  enclave.reset();
+  auto moved = make_app(m1_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m1"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(2).value(), 1u);
+  EXPECT_EQ(moved->active_counters(), 4u);
+}
+
+TEST_F(PrecopyTest, UnreachableDestinationFailsTheNextAsyncRound) {
+  me("m0")->set_async_precopy(true);
+  auto enclave = start_new(m0_);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  }
+  // An asynchronous round only merges and posts the attest, so it is
+  // acked at once; the attest then fails on the wire.
+  world_.network().set_endpoint_down("m1/me", true);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  world_.network().pump_all();
+  // The next round hears the failure — before any freeze, so the caller
+  // can still re-route.
+  EXPECT_EQ(enclave->ecall_migration_precopy_round("m1").status(),
+            Status::kNetworkUnreachable);
+  EXPECT_FALSE(enclave->migration_frozen());
+  world_.network().set_endpoint_down("m1/me", false);
+
+  // Re-routed to m2 under a fresh nonce: the m1 task is dropped.
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m2").ok());
+  EXPECT_EQ(me("m0")->transfer_task_count(), 1u);
+  enclave->ecall_increment_migratable_counter(1);
+  const auto fin = enclave->ecall_migration_finalize_detailed("m2");
+  ASSERT_EQ(fin.status, Status::kMigrationInProgress) << fin.message;
+  migration::MigrationStartResult polled = fin;
+  for (int i = 0; i < 8 && polled.status == Status::kMigrationInProgress;
+       ++i) {
+    me("m0")->pump();
+    world_.network().pump_all();
+    polled = enclave->ecall_migration_poll_transfer();
+  }
+  ASSERT_TRUE(polled.ok()) << polled.message;
+  EXPECT_EQ(me("m0")->transfer_task_count(), 0u);
+  enclave.reset();
+  auto moved = make_app(m2_);
+  ASSERT_EQ(moved->ecall_migration_init(ByteView(), InitState::kMigrate, "m2"),
+            Status::kOk);
+  EXPECT_EQ(moved->ecall_read_migratable_counter(1).value(), 1u);
+  EXPECT_EQ(moved->active_counters(), 4u);
 }
 
 // ----- pending-entry reconciliation (lost-ACCEPTED re-route orphan) ----
