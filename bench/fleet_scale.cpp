@@ -1,12 +1,15 @@
 // Datacenter-scale orchestrator bench: drives the orchestrator's wave
 // driver up a (machines x enclaves) curve to 1000 machines / 10,000
 // enclaves — a 10-region evacuation placed by the hierarchical indexed
-// policy — recording virtual wall time, REAL orchestrator CPU seconds,
-// and deterministic control-plane memory per row.
+// policy — recording virtual wall time, real process CPU seconds of the
+// evacuation, and deterministic control-plane memory per row.
 //
 // CI gates (exit non-zero, printing the replaying seed):
-//   * near-linear control plane: real CPU and driver task touches may
-//     grow at most 15x over the 10x enclave growth from 1k to 10k;
+//   * near-linear work: real CPU and driver task touches may grow at
+//     most 15x over the 10x enclave growth from 1k to 10k.  The CPU is
+//     mostly the simulated enclaves' software AES-GCM and Curve25519,
+//     not orchestrator code, so this catches an O(n^2) wave loop but
+//     does not time the control plane on its own;
 //   * flat memory: control-plane bytes per enclave at 10k within 2x of
 //     the 1k row (event-log ring + ME history caps bound the rest);
 //   * golden reports: the wave driver reproduces the committed goldens

@@ -1,9 +1,13 @@
 // AES-128/192/256 block cipher (FIPS 197), implemented from scratch.
 //
-// This is a straightforward table-free implementation (S-box lookups on
-// bytes, column mixing in GF(2^8)).  It stands in for the AES-NI hardware
-// instructions the paper's enclaves use; throughput is benchmarked in
-// bench/bench_crypto.cpp and feeds the cost model constants.
+// Encryption runs on four 256-entry T-tables (SubBytes, ShiftRows and
+// MixColumns folded into word lookups) with an S-box final round;
+// decryption is the plain byte-wise inverse cipher, kept as the oracle
+// the tests check encryption against (GCM, CMAC and the DRBG only
+// encrypt).  This code stands in for the AES-NI instructions the paper's
+// enclaves use.  Its host speed does not feed virtual time: the cost
+// model's CostModel::aes_gcm_ns_per_byte is a fixed AES-NI figure, and
+// bench/bench_crypto.cpp only reports how fast the simulator itself is.
 #pragma once
 
 #include <array>

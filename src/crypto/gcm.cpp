@@ -23,73 +23,120 @@ void store_block(uint8_t* p, const Block& b) {
   store_be64(p + 8, b.lo);
 }
 
-// Multiplication in GF(2^128) with the GCM polynomial, bit-by-bit
-// (right-shift algorithm from SP 800-38D §6.3).
-Block ghash_multiply(const Block& x, const Block& h) {
-  Block z{0, 0};
-  Block v = h;
-  for (int i = 0; i < 128; ++i) {
-    const uint64_t bit =
-        i < 64 ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
-    if (bit != 0) {
-      z.hi ^= v.hi;
-      z.lo ^= v.lo;
-    }
-    const uint64_t lsb = v.lo & 1;
-    v.lo = (v.lo >> 1) | (v.hi << 63);
-    v.hi >>= 1;
-    if (lsb != 0) v.hi ^= 0xe100000000000000ULL;
-  }
-  return z;
-}
+// Reduction constants for Shoup's 4-bit method: shifting the GCM-reflected
+// accumulator right by 4 drops a nibble `r` whose image modulo the GCM
+// polynomial is last4[r] << 48 in the high word.
+constexpr uint64_t kLast4[16] = {
+    0x0000, 0x1c20, 0x3840, 0x2460, 0x7080, 0x6ca0, 0x48c0, 0x54e0,
+    0xe100, 0xfd20, 0xd940, 0xc560, 0x9180, 0x8da0, 0xa9c0, 0xb5e0};
 
+// GHASH over one hash subkey H (SP 800-38D §6.4), multiplying a nibble at
+// a time against a 16-entry table of H * n for every 4-bit n (Shoup's
+// method, as in mbedTLS gcm_mult).  The table is per-H, 256 bytes, and
+// lives with the Ghash on the caller's stack.  Like the AES T-tables, its
+// lookups are indexed by secret data and are not constant-time; see
+// aes.cpp for why that is acceptable in the simulator.
 class Ghash {
  public:
-  explicit Ghash(const Block& h) : h_(h) {}
+  explicit Ghash(const Block& h) {
+    // Entry 8 (the nibble whose leading bit is set) is H itself; entries
+    // 4, 2, 1 are H times x, x^2, x^3; the rest are XOR combinations.
+    hh_[8] = h.hi;
+    hl_[8] = h.lo;
+    uint64_t vh = h.hi;
+    uint64_t vl = h.lo;
+    for (int i = 4; i > 0; i >>= 1) {
+      const uint64_t carry = (vl & 1) * 0xe100000000000000ULL;
+      vl = (vh << 63) | (vl >> 1);
+      vh = (vh >> 1) ^ carry;
+      hh_[i] = vh;
+      hl_[i] = vl;
+    }
+    for (int i = 2; i <= 8; i *= 2) {
+      for (int j = 1; j < i; ++j) {
+        hh_[i + j] = hh_[i] ^ hh_[j];
+        hl_[i + j] = hl_[i] ^ hl_[j];
+      }
+    }
+  }
 
   void update(ByteView data) {
-    size_t offset = 0;
-    while (offset < data.size()) {
+    const uint8_t* p = data.data();
+    size_t left = data.size();
+    for (; left >= 16; p += 16, left -= 16) {
+      y_.hi ^= load_be64(p);
+      y_.lo ^= load_be64(p + 8);
+      multiply_y();
+    }
+    if (left != 0) {
       uint8_t block[16] = {0};
-      const size_t take = std::min<size_t>(16, data.size() - offset);
-      std::memcpy(block, data.data() + offset, take);
+      std::memcpy(block, p, left);
       const Block b = load_block(block);
       y_.hi ^= b.hi;
       y_.lo ^= b.lo;
-      y_ = ghash_multiply(y_, h_);
-      offset += take;
+      multiply_y();
     }
   }
 
   void lengths(uint64_t aad_bits, uint64_t ct_bits) {
     y_.hi ^= aad_bits;
     y_.lo ^= ct_bits;
-    y_ = ghash_multiply(y_, h_);
+    multiply_y();
   }
 
   Block digest() const { return y_; }
 
  private:
-  Block h_;
+  // y_ = y_ * H.  Nibbles are consumed from the last byte's low nibble up
+  // to the first byte's high nibble (Horner's rule in the reflected
+  // representation): shift the accumulator right by 4, fold the dropped
+  // nibble back with kLast4, add the table entry.
+  void multiply_y() {
+    uint64_t zh = 0;
+    uint64_t zl = 0;
+    for (uint64_t word : {y_.lo, y_.hi}) {
+      for (int i = 0; i < 16; ++i, word >>= 4) {
+        const uint64_t rem = zl & 0xf;
+        zl = (zh << 60) | (zl >> 4);
+        zh = (zh >> 4) ^ (kLast4[rem] << 48);
+        zh ^= hh_[word & 0xf];
+        zl ^= hl_[word & 0xf];
+      }
+    }
+    y_ = Block{zh, zl};
+  }
+
+  uint64_t hh_[16] = {};
+  uint64_t hl_[16] = {};
   Block y_{0, 0};
 };
 
 void ctr_crypt(const Aes& aes, const uint8_t j0[16], ByteView in, Bytes& out) {
   uint8_t counter[16];
   std::memcpy(counter, j0, 16);
+  uint32_t ctr = load_be32(counter + 12);
   out.resize(in.size());
-  size_t offset = 0;
-  while (offset < in.size()) {
-    // Increment the low 32 bits (inc32).
-    uint32_t ctr = load_be32(counter + 12);
-    store_be32(counter + 12, ctr + 1);
-    uint8_t keystream[16];
+  const uint8_t* src = in.data();
+  uint8_t* dst = out.data();
+  size_t left = in.size();
+  uint8_t keystream[16] = {};
+  for (; left >= 16; src += 16, dst += 16, left -= 16) {
+    // inc32: only the low 32 bits of the counter block advance.
+    store_be32(counter + 12, ++ctr);
     aes.encrypt_block(counter, keystream);
-    const size_t take = std::min<size_t>(16, in.size() - offset);
-    for (size_t i = 0; i < take; ++i) {
-      out[offset + i] = in[offset + i] ^ keystream[i];
+    for (int half = 0; half < 16; half += 8) {
+      uint64_t data = 0;
+      uint64_t pad = 0;
+      std::memcpy(&data, src + half, 8);
+      std::memcpy(&pad, keystream + half, 8);
+      data ^= pad;
+      std::memcpy(dst + half, &data, 8);
     }
-    offset += take;
+  }
+  if (left != 0) {
+    store_be32(counter + 12, ++ctr);
+    aes.encrypt_block(counter, keystream);
+    for (size_t i = 0; i < left; ++i) dst[i] = src[i] ^ keystream[i];
   }
 }
 

@@ -21,8 +21,9 @@ struct GcmCiphertext {
   Bytes ciphertext;
 };
 
-/// Encrypts `plaintext` with AES-GCM.  `key` must be 16 or 32 bytes; `iv`
-/// must be exactly 12 bytes (the caller is responsible for uniqueness).
+/// Encrypts `plaintext` with AES-GCM.  `key` must be 16, 24 or 32 bytes
+/// (AES-128/192/256); `iv` must be exactly 12 bytes (the caller is
+/// responsible for uniqueness).
 GcmCiphertext gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
                           ByteView plaintext);
 

@@ -46,11 +46,30 @@ void append(Bytes& dst, ByteView suffix);
 /// XORs `src` into `dst` (lengths must match; asserts in debug).
 void xor_into(std::span<uint8_t> dst, ByteView src);
 
-/// Loads/stores in big-endian and little-endian byte order.
-uint32_t load_be32(const uint8_t* p);
-uint64_t load_be64(const uint8_t* p);
-void store_be32(uint8_t* p, uint32_t v);
-void store_be64(uint8_t* p, uint64_t v);
+/// Loads/stores in big-endian byte order.  Inline: the AES rounds, GHASH
+/// and SHA-2 call them per word.
+inline uint32_t load_be32(const uint8_t* p) {
+  return (uint32_t{p[0]} << 24) | (uint32_t{p[1]} << 16) |
+         (uint32_t{p[2]} << 8) | uint32_t{p[3]};
+}
+
+inline uint64_t load_be64(const uint8_t* p) {
+  return (uint64_t{load_be32(p)} << 32) | load_be32(p + 4);
+}
+
+inline void store_be32(uint8_t* p, uint32_t v) {
+  p[0] = static_cast<uint8_t>(v >> 24);
+  p[1] = static_cast<uint8_t>(v >> 16);
+  p[2] = static_cast<uint8_t>(v >> 8);
+  p[3] = static_cast<uint8_t>(v);
+}
+
+inline void store_be64(uint8_t* p, uint64_t v) {
+  store_be32(p, static_cast<uint32_t>(v >> 32));
+  store_be32(p + 4, static_cast<uint32_t>(v));
+}
+
+/// Loads/stores in little-endian byte order.
 uint32_t load_le32(const uint8_t* p);
 uint64_t load_le64(const uint8_t* p);
 void store_le32(uint8_t* p, uint32_t v);

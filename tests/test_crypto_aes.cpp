@@ -119,6 +119,36 @@ TEST(Gcm, SpecTestCase4WithAad) {
   EXPECT_EQ(back.value(), pt);
 }
 
+TEST(Gcm, SpecTestCase14Aes256SingleZeroBlock) {
+  const Bytes key(32, 0);
+  const Bytes iv(12, 0);
+  const Bytes pt(16, 0);
+  const GcmCiphertext ct = gcm_encrypt(key, iv, ByteView(), pt);
+  EXPECT_EQ(hex_encode(ct.ciphertext), "cea7403d4d606b6e074ec5d3baf39d18");
+  EXPECT_EQ(hex_encode(ByteView(ct.tag.data(), ct.tag.size())),
+            "d0d1c8a799996bf0265b98b5d48ab919");
+}
+
+TEST(Gcm, SpecTestCase16Aes256WithAad) {
+  const Bytes key = hx(
+      "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308");
+  const Bytes iv = hx("cafebabefacedbaddecaf888");
+  const Bytes pt = hx(
+      "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+      "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39");
+  const Bytes aad = hx("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+  const GcmCiphertext ct = gcm_encrypt(key, iv, aad, pt);
+  EXPECT_EQ(hex_encode(ct.ciphertext),
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662");
+  EXPECT_EQ(hex_encode(ByteView(ct.tag.data(), ct.tag.size())),
+            "76fc6ece0f4e1768cddf8853bb2d551b");
+  const auto back = gcm_decrypt(key, iv, aad, ct.ciphertext,
+                                ByteView(ct.tag.data(), ct.tag.size()));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), pt);
+}
+
 TEST(Gcm, DecryptRejectsTamperedCiphertext) {
   const Bytes key(16, 0x42);
   const Bytes iv(12, 0x01);

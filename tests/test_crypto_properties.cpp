@@ -2,6 +2,10 @@
 // the from-scratch primitives, complementing the fixed RFC/NIST vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
+#include "crypto/aes.h"
 #include "crypto/drbg.h"
 #include "crypto/ed25519.h"
 #include "crypto/fe25519.h"
@@ -150,6 +154,132 @@ TEST_P(CryptoProperty, GcmIvSeparation) {
   const GcmCiphertext c2 = gcm_encrypt(key, iv2, ByteView(), pt);
   EXPECT_NE(c1.ciphertext, c2.ciphertext);
   EXPECT_NE(c1.tag, c2.tag);
+}
+
+// ----- differential checks against kept reference implementations -----
+
+// Reference GF(2^128) multiply: the bit-serial right-shift algorithm of
+// SP 800-38D §6.3, one bit of x per step.  The library's table-driven
+// GHASH must agree with it on every input.
+struct RefBlock {
+  uint64_t hi = 0;
+  uint64_t lo = 0;
+};
+
+RefBlock ref_ghash_multiply(const RefBlock& x, const RefBlock& h) {
+  RefBlock z{0, 0};
+  RefBlock v = h;
+  for (int i = 0; i < 128; ++i) {
+    const uint64_t bit =
+        i < 64 ? (x.hi >> (63 - i)) & 1 : (x.lo >> (127 - i)) & 1;
+    if (bit != 0) {
+      z.hi ^= v.hi;
+      z.lo ^= v.lo;
+    }
+    const uint64_t lsb = v.lo & 1;
+    v.lo = (v.lo >> 1) | (v.hi << 63);
+    v.hi >>= 1;
+    if (lsb != 0) v.hi ^= 0xe100000000000000ULL;
+  }
+  return z;
+}
+
+void ref_ghash_absorb(RefBlock& y, const RefBlock& h, ByteView data) {
+  for (size_t offset = 0; offset < data.size(); offset += 16) {
+    uint8_t block[16] = {0};
+    std::memcpy(block, data.data() + offset,
+                std::min<size_t>(16, data.size() - offset));
+    y.hi ^= load_be64(block);
+    y.lo ^= load_be64(block + 8);
+    y = ref_ghash_multiply(y, h);
+  }
+}
+
+// GCM encryption written out byte by byte from SP 800-38D §7.1, with the
+// reference GHASH; only the block cipher is shared with the library.
+GcmCiphertext ref_gcm_encrypt(ByteView key, ByteView iv, ByteView aad,
+                              ByteView plaintext) {
+  const Aes aes(key);
+  uint8_t block[16] = {0};
+  aes.encrypt_block(block, block);
+  const RefBlock h{load_be64(block), load_be64(block + 8)};
+
+  uint8_t j0[16] = {0};
+  std::memcpy(j0, iv.data(), 12);
+  j0[15] = 1;
+  GcmCiphertext out;
+  std::memcpy(out.iv.data(), iv.data(), 12);
+  out.ciphertext.resize(plaintext.size());
+  uint8_t counter[16];
+  std::memcpy(counter, j0, 16);
+  for (size_t i = 0; i < plaintext.size(); ++i) {
+    if (i % 16 == 0) {
+      store_be32(counter + 12, load_be32(counter + 12) + 1);
+      aes.encrypt_block(counter, block);
+    }
+    out.ciphertext[i] = plaintext[i] ^ block[i % 16];
+  }
+
+  RefBlock y{0, 0};
+  ref_ghash_absorb(y, h, aad);
+  ref_ghash_absorb(y, h, out.ciphertext);
+  y.hi ^= static_cast<uint64_t>(aad.size()) * 8;
+  y.lo ^= static_cast<uint64_t>(plaintext.size()) * 8;
+  y = ref_ghash_multiply(y, h);
+  uint8_t s_block[16];
+  store_be64(s_block, y.hi);
+  store_be64(s_block + 8, y.lo);
+  aes.encrypt_block(j0, block);
+  for (int i = 0; i < 16; ++i) out.tag[i] = s_block[i] ^ block[i];
+  return out;
+}
+
+TEST(CryptoReference, GcmMatchesBitSerialReference) {
+  Rng rng(0x6763'6d72'6566ULL);
+  for (size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {
+    std::vector<size_t> pt_sizes;
+    for (size_t n = 0; n <= 80; ++n) pt_sizes.push_back(n);
+    pt_sizes.push_back(4096);
+    for (size_t aad_size = 0; aad_size <= 40; ++aad_size) {
+      for (size_t pt_size : pt_sizes) {
+        const Bytes key = rng.bytes(key_size);
+        const Bytes iv = rng.bytes(12);
+        const Bytes aad = rng.bytes(aad_size);
+        const Bytes pt = rng.bytes(pt_size);
+        const GcmCiphertext got = gcm_encrypt(key, iv, aad, pt);
+        const GcmCiphertext want = ref_gcm_encrypt(key, iv, aad, pt);
+        ASSERT_EQ(got.ciphertext, want.ciphertext)
+            << "key " << key_size << " aad " << aad_size << " pt " << pt_size;
+        ASSERT_EQ(got.tag, want.tag)
+            << "key " << key_size << " aad " << aad_size << " pt " << pt_size;
+      }
+    }
+  }
+}
+
+TEST(CryptoReference, AesEncryptIsInvertedByByteWiseDecrypt) {
+  // decrypt_block is the plain FIPS 197 inverse cipher; encrypt_block is
+  // table-driven.  100 keys x 100 blocks per key size.
+  Rng rng(0x6165'7372'6566ULL);
+  for (size_t key_size : {size_t{16}, size_t{24}, size_t{32}}) {
+    for (int k = 0; k < 100; ++k) {
+      const Aes aes(rng.bytes(key_size));
+      for (int b = 0; b < 100; ++b) {
+        uint8_t pt[16];
+        rng.fill(pt, 16);
+        uint8_t ct[16];
+        aes.encrypt_block(pt, ct);
+        uint8_t back[16];
+        aes.decrypt_block(ct, back);
+        ASSERT_EQ(0, std::memcmp(back, pt, 16)) << "key size " << key_size;
+        // In place: CMAC encrypts into its input buffer.
+        uint8_t in_place[16];
+        std::memcpy(in_place, pt, 16);
+        aes.encrypt_block(in_place, in_place);
+        ASSERT_EQ(0, std::memcmp(in_place, ct, 16)) << "key size " << key_size;
+      }
+    }
+  }
 }
 
 // ----- hash/MAC/DRBG sweeps -----
