@@ -2,9 +2,13 @@
 // Library + Migration Enclave protocol (paper §V, §VI).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "baseline/nonmigratable.h"
 #include "migration/migratable_enclave.h"
 #include "migration/migration_enclave.h"
+#include "net/network.h"
 #include "platform/world.h"
 
 namespace sgxmig {
@@ -619,6 +623,334 @@ TEST_F(MigrationTest, FailedMigrationRetryDoesNotDoubleDestroyCounters) {
             Status::kOk);
   EXPECT_EQ(enclave->ecall_read_migratable_counter(c0).value(), 2u);
   EXPECT_EQ(enclave->ecall_read_migratable_counter(c1).value(), 1u);
+}
+
+// ----- wire transcript of the library's entry points -----
+//
+// Every request that reaches a Migration Enclave endpoint while one
+// library entry point runs, as "<endpoint> <envelope type> <bytes>", under
+// a fixed seed.  LA records are sealed, so the record size is what tells
+// one library message and payload from another; ME<->ME hops show up
+// under the destination's endpoint.  The expectations pin the exact
+// traffic of blocking, queued, freeze-aware and pre-copy migrations,
+// including the retry, resume and re-route paths.
+class LibraryWire : public ::testing::Test {
+ protected:
+  LibraryWire() {
+    world_.install_management_enclaves(
+        migration::durable_me_factory(world_.provider()));
+    world_.network().set_tamper_hook(
+        [this](const std::string& to, Bytes& request) {
+          if (to.size() < 3 || to.compare(to.size() - 3, 3, "/me") != 0) {
+            return true;
+          }
+          auto parsed = migration::MeRequest::deserialize(request);
+          wire_ += to + " " +
+                   (parsed.ok() ? migration::me_msg_type_name(
+                                      parsed.value().type)
+                                : "unparsed") +
+                   " " + std::to_string(request.size()) + "\n";
+          return true;
+        });
+  }
+
+  Machine& machine(const std::string& address) {
+    return *world_.machine(address);
+  }
+  MigrationEnclave* me(const std::string& address) {
+    return migration::me_on(machine(address));
+  }
+
+  /// App enclave on m0 with `counters` counters, counter 0 incremented
+  /// once; the init traffic is discarded.
+  std::unique_ptr<MigratableEnclave> start_app(bool live_transfer,
+                                               int counters) {
+    auto enclave = std::make_unique<MigratableEnclave>(
+        m0_, image_, migration::PersistenceMode::kSync,
+        migration::GroupCommitOptions{}, live_transfer);
+    enclave->set_persist_callback(
+        [this](ByteView s) { m0_.storage().put(kStateBlob, s); });
+    EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+              Status::kOk);
+    for (int i = 0; i < counters; ++i) {
+      EXPECT_TRUE(enclave->ecall_create_migratable_counter().ok());
+    }
+    EXPECT_TRUE(enclave->ecall_increment_migratable_counter(0).ok());
+    take();
+    return enclave;
+  }
+
+  /// Pumps the source ME and the network, then polls, until the attempt
+  /// is no longer in flight.
+  migration::MigrationStartResult pump_and_poll(MigratableEnclave& enclave) {
+    migration::MigrationStartResult result;
+    for (int i = 0; i < 16; ++i) {
+      me("m0")->pump();
+      world_.network().pump_all();
+      result = enclave.ecall_migration_poll_transfer();
+      if (!in_flight(result)) break;
+    }
+    return result;
+  }
+
+  static bool in_flight(const migration::MigrationStartResult& r) {
+    return r.status == Status::kMigrationInProgress &&
+           r.failure_class == migration::MigrationFailureClass::kNone;
+  }
+
+  std::string take() { return std::exchange(wire_, {}); }
+
+  World world_{/*seed=*/2718};
+  Machine& m0_ = world_.add_machine("m0");
+  Machine& m1_ = world_.add_machine("m1");
+  Machine& m2_ = world_.add_machine("m2");
+  std::shared_ptr<const EnclaveImage> image_ =
+      EnclaveImage::create("wire-app", 1, "acme");
+  std::string wire_;
+};
+
+TEST_F(LibraryWire, BlockingStart) {
+  auto enclave = start_app(/*live_transfer=*/false, 3);
+  ASSERT_TRUE(enclave->ecall_migration_start_detailed("m1").ok());
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 1389
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me transfer 1400
+)");
+}
+
+TEST_F(LibraryWire, EnqueueThenPolls) {
+  auto enclave = start_app(/*live_transfer=*/false, 3);
+  ASSERT_TRUE(enclave->ecall_migration_enqueue_detailed("m1").ok());
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 1389
+)");
+  ASSERT_TRUE(pump_and_poll(*enclave).ok());
+  EXPECT_EQ(take(), R"(m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me transfer 1400
+m0/me la-record 50
+)");
+}
+
+TEST_F(LibraryWire, ReserveSlotLiveArmAccepted) {
+  auto enclave = start_app(/*live_transfer=*/false, 3);
+  ASSERT_TRUE(enclave->ecall_migration_reserve_detailed("m1").ok());
+  EXPECT_FALSE(enclave->migration_frozen());
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 68
+)");
+  me("m0")->pump();
+  world_.network().pump_all();
+  const auto armed = enclave->ecall_migration_poll_transfer();
+  EXPECT_TRUE(in_flight(armed)) << armed.message;
+  EXPECT_TRUE(enclave->migration_frozen());
+  EXPECT_EQ(take(), R"(m1/me ra-msg1 45
+m1/me ra-msg3 505
+m0/me la-record 50
+m0/me la-record 1389
+)");
+  ASSERT_TRUE(pump_and_poll(*enclave).ok());
+  EXPECT_EQ(take(), R"(m1/me transfer 1400
+m0/me la-record 50
+)");
+}
+
+TEST_F(LibraryWire, TwoRoundsThenFinalize) {
+  auto enclave = start_app(/*live_transfer=*/true, 20);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  ASSERT_TRUE(enclave->ecall_increment_migratable_counter(17).ok());
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  ASSERT_TRUE(enclave->ecall_increment_migratable_counter(3).ok());
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 260
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me precopy-chunk 271
+m0/me la-record 168
+m1/me precopy-chunk 179
+)");
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 212
+m1/me precopy-finalize 223
+)");
+}
+
+TEST_F(LibraryWire, AsyncRoundsQueuedFinalizeThenPoll) {
+  me("m0")->set_async_precopy(true);
+  auto enclave = start_app(/*live_transfer=*/true, 20);
+  for (const uint32_t dirty : {17u, 3u}) {
+    ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+    me("m0")->pump();
+    world_.network().pump_all();
+    ASSERT_TRUE(enclave->ecall_increment_migratable_counter(dirty).ok());
+  }
+  const auto queued = enclave->ecall_migration_finalize_detailed("m1");
+  EXPECT_TRUE(in_flight(queued)) << queued.message;
+  EXPECT_TRUE(enclave->transfer_enqueued());
+  ASSERT_TRUE(pump_and_poll(*enclave).ok());
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 260
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me precopy-chunk 271
+m0/me la-record 168
+m1/me precopy-chunk 179
+m0/me la-record 212
+m1/me precopy-finalize 223
+m0/me la-record 50
+)");
+}
+
+TEST_F(LibraryWire, FinalizeAnsweredPrecopyIncomplete) {
+  auto enclave = start_app(/*live_transfer=*/true, 20);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  ASSERT_TRUE(enclave->ecall_increment_migratable_counter(3).ok());
+  // Both sides lose the round: the source ME restarts with an empty
+  // queue and the destination ages out its staging.  The source ME's
+  // merged set then lacks round 0, every ship misses the manifest, and
+  // the library re-ships its full staged set once.
+  m0_.kill_management_enclave();
+  m0_.storage().remove("m0.me-queue#0");
+  m0_.storage().remove("m0.me-queue#1");
+  ASSERT_TRUE(m0_.restart_management_enclave());
+  me("m1")->set_precopy_staging_max_age(Duration::zero());
+  EXPECT_EQ(me("m1")->sweep_stale_precopy_staging(), 1u);
+  me("m1")->set_precopy_staging_max_age(Duration::max());
+  take();
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 212
+m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 212
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me precopy-finalize 223
+m1/me session-resume 59
+m1/me precopy-finalize 223
+m1/me session-resume 59
+m1/me precopy-finalize 223
+m0/me la-record 304
+m1/me session-resume 59
+m1/me precopy-finalize 315
+)");
+}
+
+TEST_F(LibraryWire, LostReplyResumesViaNonceQuery) {
+  auto enclave = start_app(/*live_transfer=*/false, 3);
+  bool dropped = false;
+  world_.network().set_response_tamper_hook(
+      [this, &dropped](const std::string& to, Bytes&) {
+        if (dropped || to != "m0/me" ||
+            me("m1")->pending_incoming_count() == 0) {
+          return true;
+        }
+        dropped = true;
+        return false;
+      });
+  ASSERT_TRUE(enclave->ecall_migration_start_detailed("m1").ok());
+  world_.network().clear_response_tamper_hook();
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 1389
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me transfer 1400
+m0/me la-record 50
+m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 50
+)");
+}
+
+TEST_F(LibraryWire, RerouteAfterFreeze) {
+  auto enclave = start_app(/*live_transfer=*/false, 3);
+  world_.network().set_endpoint_down(m1_.me_endpoint(), true);
+  EXPECT_FALSE(enclave->ecall_migration_start_detailed("m1").ok());
+  EXPECT_TRUE(enclave->migration_frozen());
+  EXPECT_EQ(take(), R"(m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 1389
+)");
+  world_.network().set_endpoint_down(m1_.me_endpoint(), false);
+  ASSERT_TRUE(enclave->ecall_migration_start_detailed("m2").ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 56
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me abort 73
+m0/me la-record 1389
+m2/me ra-msg1 45
+m2/me ra-msg3 505
+m2/me transfer 1400
+)");
+}
+
+TEST_F(LibraryWire, FinalizeRerouteAfterFreeze) {
+  auto enclave = start_app(/*live_transfer=*/true, 20);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  world_.network().set_endpoint_down(m1_.me_endpoint(), true);
+  EXPECT_FALSE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  EXPECT_TRUE(enclave->migration_frozen());
+  world_.network().set_endpoint_down(m1_.me_endpoint(), false);
+  take();
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m2").ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 56
+m1/me session-resume 59
+m1/me abort 73
+m0/me la-record 304
+m2/me ra-msg1 45
+m2/me ra-msg3 505
+m2/me precopy-finalize 315
+)");
+}
+
+TEST_F(LibraryWire, ReserveRerouteBeforeFreeze) {
+  auto enclave = start_app(/*live_transfer=*/false, 3);
+  world_.network().set_endpoint_down(m1_.me_endpoint(), true);
+  ASSERT_TRUE(enclave->ecall_migration_reserve_detailed("m1").ok());
+  EXPECT_FALSE(pump_and_poll(*enclave).ok());
+  EXPECT_FALSE(enclave->migration_frozen());
+  world_.network().set_endpoint_down(m1_.me_endpoint(), false);
+  take();
+  ASSERT_TRUE(enclave->ecall_migration_reserve_detailed("m2").ok());
+  ASSERT_TRUE(pump_and_poll(*enclave).ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 56
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me abort 73
+m0/me la-record 68
+m2/me ra-msg1 45
+m2/me ra-msg3 505
+m0/me la-record 50
+m0/me la-record 1389
+m2/me transfer 1400
+m0/me la-record 50
+)");
+}
+
+TEST_F(LibraryWire, PrecopyRerouteBetweenRounds) {
+  auto enclave = start_app(/*live_transfer=*/true, 20);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  take();
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m2").ok());
+  ASSERT_TRUE(enclave->ecall_migration_finalize_detailed("m2").ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 56
+m1/me session-resume 59
+m1/me abort 73
+m0/me la-record 260
+m2/me ra-msg1 45
+m2/me ra-msg3 505
+m2/me precopy-chunk 271
+m0/me la-record 120
+m2/me precopy-finalize 131
+)");
 }
 
 }  // namespace
