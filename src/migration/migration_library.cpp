@@ -78,7 +78,9 @@ void MigrationLibrary::trace_attempt_root(uint64_t nonce) {
     root_span_ = rec->begin_span("migration", lane());
     rec->span_arg(root_span_, "enclave", host_.image().name());
   }
-  if (nonce != 0) rec->assign_trace(root_span_, nonce);
+  if (nonce == 0) return;
+  rec->assign_trace(root_span_, nonce);
+  if (freeze_span_ != 0) rec->assign_trace(freeze_span_, nonce);
 }
 
 void MigrationLibrary::trace_freeze_begin() {
@@ -101,6 +103,22 @@ void MigrationLibrary::trace_freeze_end() {
     rec->end_span(freeze_span_);
   }
   freeze_span_ = 0;
+}
+
+uint64_t MigrationLibrary::trace_step_begin(const char* name, uint64_t nonce,
+                                           const char* key, uint64_t value) {
+  obs::TraceRecorder* rec = recorder();
+  if (rec == nullptr) return 0;
+  const uint64_t span = rec->begin_span(name, lane(), nonce, root_span_);
+  rec->span_arg(span, key, value);
+  return span;
+}
+
+void MigrationLibrary::trace_step_end(uint64_t span, const char* outcome) {
+  obs::TraceRecorder* rec = recorder();
+  if (rec == nullptr || span == 0) return;
+  rec->span_arg(span, "outcome", outcome);
+  rec->end_span(span);
 }
 
 void MigrationLibrary::trace_attempt_done(uint64_t nonce,
@@ -229,20 +247,14 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         restore_span = rec->begin_span("restore", lane(), request_nonce);
         rec->span_arg(restore_span, "enclave", host_.image().name());
       }
-      const auto end_restore = [&](const char* outcome) {
-        obs::TraceRecorder* rec = recorder();
-        if (rec == nullptr || restore_span == 0) return;
-        rec->span_arg(restore_span, "outcome", outcome);
-        rec->end_span(restore_span);
-      };
       auto data = MigrationData::deserialize(data_bytes);
       if (!data.ok()) {
-        end_restore("deserialize-failed");
+        trace_step_end(restore_span, "deserialize-failed");
         return data.status();
       }
       const Status apply_status = apply_incoming(data.value());
       if (apply_status != Status::kOk) {
-        end_restore("apply-failed");
+        trace_step_end(restore_span, "apply-failed");
         return apply_status;
       }
       initialized_ = true;
@@ -264,14 +276,14 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
         ack = me_exchange_reattest(confirm);
       }
       if (!ack.ok()) {
-        end_restore("confirm-failed");
+        trace_step_end(restore_span, "confirm-failed");
         return ack.status();
       }
       if (ack.value().type != LibMsgType::kConfirmAck) {
-        end_restore("confirm-failed");
+        trace_step_end(restore_span, "confirm-failed");
         return Status::kUnexpected;
       }
-      end_restore("ok");
+      trace_step_end(restore_span, "ok");
       if (obs::Observability* obs = observability();
           obs != nullptr && obs->enabled()) {
         obs->trace.instant("migration.done", lane(), request_nonce,
@@ -665,6 +677,13 @@ MigrationFailureClass classify_migration_failure(Status status) {
   }
 }
 
+MigrationStartResult MigrationStartResult::pending(std::string message) {
+  MigrationStartResult result;
+  result.status = Status::kMigrationInProgress;
+  result.message = std::move(message);
+  return result;
+}
+
 namespace {
 MigrationStartResult start_failure(Status status, const char* step) {
   MigrationStartResult result;
@@ -676,156 +695,143 @@ MigrationStartResult start_failure(Status status, const char* step) {
 }
 }  // namespace
 
-Status MigrationLibrary::migration_start(
-    const std::string& destination_address, MigrationPolicy policy) {
-  return migration_start_detailed(destination_address, std::move(policy))
-      .status;
-}
+// ----- the attempt record -----
 
-MigrationStartResult MigrationLibrary::stage_for_migration(
-    const std::string& destination_address) {
+MigrationStartResult MigrationLibrary::check_can_migrate(bool resumes_frozen) {
   if (!initialized_) {
     return start_failure(Status::kNotInitialized, "library init check");
   }
-  if (runtime_frozen_ && !staged_outgoing_.has_value()) {
-    // Already migrated away.
+  if (runtime_frozen_ && !resumes_frozen) {
+    // Already migrated away, or frozen by the other protocol's attempt.
     return start_failure(Status::kMigrationFrozen, "freeze check");
   }
   const Status channel_status = ensure_me_channel();
   if (channel_status != Status::kOk) {
     return start_failure(channel_status, "local ME attestation");
   }
-
-  if (!staged_outgoing_.has_value()) {
-    // Fence any batched mutations before the freeze event: the buffer the
-    // application stored must reflect every completed operation before
-    // the library stops accepting them (Table II invariant under
-    // GroupCommit/WriteBehind engines).
-    const Status fence = engine_->flush(*this);
-    if (fence != Status::kOk) {
-      return start_failure(fence, "pre-freeze persistence fence");
-    }
-    if (obs::Observability* obs = observability();
-        obs != nullptr && obs->enabled()) {
-      obs->metrics.add("persist.flush_fences");
-    }
-    // Freeze first: no further operations may mutate persistent state
-    // while (or after) the migration is in flight (§V-A step 2).
-    freeze_started_ = now();
-    runtime_frozen_ = true;
-    trace_freeze_begin();
-    // A half-done pre-copy toward any destination is abandoned: the full
-    // snapshot staged below supersedes it (the destination's staged
-    // chunks are swept when the assembled transfer lands or is confirmed).
-    // A pre-copy that was aimed at a DIFFERENT machine than this start
-    // leaves orphaned staging there — proactively abort it.
-    if (precopy_nonce_ != 0 && precopy_destination_ != destination_address) {
-      notify_abort_stale(precopy_nonce_, precopy_destination_);
-    }
-    precopy_destination_.clear();
-    precopy_nonce_ = 0;
-    staged_chunks_.clear();
-    final_chunks_.clear();
-    finalize_staged_ = false;
-    auto collected = collect_values();
-    if (!collected.ok()) {
-      // Nothing destructive happened yet: the enclave may resume normal
-      // operation and retry the migration later.
-      runtime_frozen_ = false;
-      if (obs::TraceRecorder* rec = recorder();
-          rec != nullptr && freeze_span_ != 0) {
-        rec->span_arg(freeze_span_, "outcome", "collect-failed");
-        rec->end_span(freeze_span_);
-      }
-      freeze_span_ = 0;
-      return start_failure(collected.status(), "collecting counter values");
-    }
-    staged_outgoing_ = std::move(collected).value();
-    staged_destination_.clear();
-  }
-  if (staged_nonce_ == 0 || staged_destination_ != destination_address) {
-    // One nonce per (attempt, destination), reused verbatim across
-    // retries toward the same destination so the ME can deduplicate
-    // re-sends and answer "did my request land?".  A re-route to a
-    // different destination gets a fresh nonce — the fate of the old
-    // destination's transfer must not be confused with the new one's —
-    // and the old destination's now-orphaned entry a proactive abort.
-    if (staged_nonce_ != 0 && !staged_destination_.empty()) {
-      notify_abort_stale(staged_nonce_, staged_destination_);
-    }
-    staged_nonce_ = draw_attempt_nonce();
-    staged_destination_ = destination_address;
-    enqueue_pending_ = false;  // an old queued attempt is superseded
-  }
-  trace_attempt_root(staged_nonce_);
-  if (obs::TraceRecorder* rec = recorder();
-      rec != nullptr && freeze_span_ != 0) {
-    rec->assign_trace(freeze_span_, staged_nonce_);
-  }
-  if (!counters_destroyed_) {
-    // Destroy the hardware counters BEFORE any data leaves the machine
-    // (§VI-B): whatever happens later, the source's counters are gone, so
-    // stale persistent state cannot be replayed into a working fork.  If
-    // this pass fails half-way the library stays frozen and a retry
-    // resumes it (already-destroyed counters report kCounterNotFound).
-    // Once this guard flips, no retry path may reach counter_destroy
-    // again: the service recycles nothing today, but a double destroy
-    // against a recycled id would hit someone else's counter.
-    const Status destroyed = destroy_active_counters();
-    if (destroyed != Status::kOk) {
-      return start_failure(destroyed, "destroying source counters");
-    }
-    counters_destroyed_ = true;
-  }
-  if (!freeze_persisted_) {
-    // Persist the freeze flag so a restarted instance refuses to operate
-    // (§VI-B, Table II).  Durable regardless of engine, and guarded
-    // separately from counters_destroyed_: if this persist fails, a retry
-    // must redo it without re-destroying counters.
-    state_.frozen = 1;
-    const Status persist_status =
-        persist_mutation_durable(MutationKind::kFreeze);
-    if (persist_status != Status::kOk) {
-      return start_failure(persist_status, "persisting freeze flag");
-    }
-    freeze_persisted_ = true;
-  }
   return MigrationStartResult{};
 }
 
-void MigrationLibrary::finish_outgoing(uint64_t payload_bytes) {
-  // A pre-copy finalize (synchronous or queued) completes under its own
-  // nonce; a full snapshot under the staged one.
-  const bool precopy = finalize_staged_;
-  const uint64_t nonce = precopy ? precopy_nonce_ : staged_nonce_;
+bool MigrationLibrary::attempt_toward(const std::string& destination,
+                                      Attempt::Kind kind) {
+  if (attempt_ && attempt_->kind == kind &&
+      attempt_->destination == destination) {
+    return false;
+  }
+  if (attempt_ && attempt_->destination != destination) {
+    notify_abort_stale(attempt_->nonce, attempt_->destination);
+  }
+  if (!attempt_ || attempt_->kind != kind || !attempt_->frozen()) {
+    attempt_.emplace();
+    attempt_->kind = kind;
+  }
+  attempt_->nonce = draw_attempt_nonce();
+  attempt_->destination = destination;
+  attempt_->queued = false;  // a queued request is superseded
+  return true;
+}
+
+MigrationStartResult MigrationLibrary::freeze_and_collect(
+    const char* step, const std::function<Status()>& collect) {
+  // Fence any batched mutations before the freeze event: the buffer the
+  // application stored must reflect every completed operation before
+  // the library stops accepting them (Table II invariant under
+  // GroupCommit/WriteBehind engines).
+  const Status fence = engine_->flush(*this);
+  if (fence != Status::kOk) {
+    return start_failure(fence, "pre-freeze persistence fence");
+  }
+  if (obs::Observability* obs = observability();
+      obs != nullptr && obs->enabled()) {
+    obs->metrics.add("persist.flush_fences");
+  }
+  // Freeze first: no further operations may mutate persistent state
+  // while (or after) the migration is in flight (§V-A step 2).
+  freeze_started_ = now();
+  runtime_frozen_ = true;
+  trace_freeze_begin();
+  const Status collected = collect();
+  if (collected == Status::kOk) return MigrationStartResult{};
+  // Nothing destructive happened yet: the enclave may resume normal
+  // operation and retry the migration later.
+  runtime_frozen_ = false;
+  trace_step_end(freeze_span_, "collect-failed");
+  freeze_span_ = 0;
+  return start_failure(collected, step);
+}
+
+MigrationStartResult MigrationLibrary::persist_freeze() {
+  if (freeze_persisted_) return MigrationStartResult{};
+  // Persist the freeze flag so a restarted instance refuses to operate
+  // (§VI-B, Table II).  Durable regardless of engine, and guarded
+  // separately from counters_destroyed_: if this persist fails, a retry
+  // must redo it without re-destroying counters.
+  state_.frozen = 1;
+  const Status status = persist_mutation_durable(MutationKind::kFreeze);
+  if (status != Status::kOk) {
+    return start_failure(status, "persisting freeze flag");
+  }
+  freeze_persisted_ = true;
+  return MigrationStartResult{};
+}
+
+MigrationLibrary::MeReply MigrationLibrary::exchange(
+    LibMsgType type, Bytes payload, LibMsgType expected, Status fallback,
+    const char* step, const char* refused) {
+  LibMsg request;
+  request.type = type;
+  request.payload = std::move(payload);
+  auto reply = me_exchange_reattest(request);
+  MeReply out;
+  if (!reply.ok()) {
+    out.lost = true;
+    out.result = start_failure(reply.status(), step);
+    return out;
+  }
+  out.msg = std::move(reply).value();
+  if (out.msg.type != expected) {
+    out.result = start_failure(
+        out.msg.status != Status::kOk ? out.msg.status : fallback, refused);
+  }
+  return out;
+}
+
+bool MigrationLibrary::resume_lost_reply() {
+  // An exchange that died mid-flight — the reply dropped by the network,
+  // or the ME restarting between accepting the request and answering —
+  // looks like a failure even though the transfer may already sit,
+  // durably retained, in the ME's queue.  A well-formed refusal is
+  // DEFINITIVE (the retained path always answers with an accept, dedup'd
+  // re-sends included), so only transport failures are worth this extra
+  // round trip.
+  auto fate = query_status_internal(attempt_->nonce);
+  if (!fate.ok() || (fate.value() != OutgoingState::kPending &&
+                     fate.value() != OutgoingState::kCompleted)) {
+    return false;
+  }
+  finish_outgoing();
+  return true;
+}
+
+void MigrationLibrary::finish_outgoing() {
+  const Attempt attempt = std::move(*attempt_);
+  attempt_.reset();
+  const bool precopy = attempt.kind == Attempt::Kind::kPrecopy;
   last_freeze_window_ = now() - freeze_started_;
   trace_freeze_end();
-  last_transfer_bytes_ = payload_bytes;
-  last_precopy_rounds_ = precopy ? precopy_rounds_ : 0;
-  if (precopy) {
-    // Deferred teardown, OUTSIDE the freeze window: the epoch increment
-    // already made every sealed buffer unusable, so these hardware
-    // counters are unreachable garbage — retire them all in one logical
-    // op (a failure leaks quota on a machine this enclave just left,
-    // never state).  Physical slot reclaim is the platform's background
-    // sweep.  The epoch-guard drill skips it like the increment.
-    if (!counters_destroyed_ && !chaos_epoch_guard_disabled_) {
-      (void)host_.counter_retire_all();
-      counters_destroyed_ = true;
-    }
-    precopy_destination_.clear();
-    precopy_nonce_ = 0;
-    staged_chunks_.clear();
-    final_chunks_.clear();
-    finalize_staged_ = false;
-    async_finalize_pending_ = false;
+  last_transfer_bytes_ = attempt.payload_bytes;
+  last_precopy_rounds_ = precopy ? attempt.rounds : 0;
+  // Deferred pre-copy teardown, OUTSIDE the freeze window: the epoch
+  // increment already made every sealed buffer unusable, so these
+  // hardware counters are unreachable garbage — retire them all in one
+  // logical op (a failure leaks quota on a machine this enclave just
+  // left, never state).  Physical slot reclaim is the platform's
+  // background sweep.  The epoch-guard drill skips it like the increment.
+  if (precopy && !counters_destroyed_ && !chaos_epoch_guard_disabled_) {
+    (void)host_.counter_retire_all();
+    counters_destroyed_ = true;
   }
-  staged_outgoing_.reset();
-  staged_nonce_ = 0;
-  staged_destination_.clear();
-  enqueue_pending_ = false;
-  enqueued_bytes_ = 0;
-  trace_attempt_done(nonce, payload_bytes);
+  trace_attempt_done(attempt.nonce, attempt.payload_bytes);
 }
 
 uint64_t MigrationLibrary::draw_attempt_nonce() {
@@ -849,89 +855,93 @@ void MigrationLibrary::notify_abort_stale(uint64_t nonce,
   (void)me_exchange_reattest(request);
 }
 
+// ----- full-snapshot migration (blocking, queued, freeze-aware) -----
+
+Status MigrationLibrary::migration_start(
+    const std::string& destination_address, MigrationPolicy policy) {
+  return migration_start_detailed(destination_address, std::move(policy))
+      .status;
+}
+
+MigrationStartResult MigrationLibrary::stage_snapshot(
+    const std::string& destination) {
+  const bool frozen = attempt_ && attempt_->snapshot.has_value();
+  const MigrationStartResult ready = check_can_migrate(frozen);
+  if (!ready.ok()) return ready;
+  std::optional<MigrationData> collected;
+  if (!frozen) {
+    const MigrationStartResult froze =
+        freeze_and_collect("collecting counter values", [&] {
+          auto values = collect_values();
+          if (values.ok()) collected = std::move(values).value();
+          return values.status();
+        });
+    if (!froze.ok()) return froze;
+  }
+  // A half-done pre-copy is superseded by the snapshot (aborted if it was
+  // aimed elsewhere); a reserved attempt keeps the nonce it queued under.
+  attempt_toward(destination, Attempt::Kind::kSnapshot);
+  if (collected) attempt_->snapshot = std::move(collected);
+  trace_attempt_root(attempt_->nonce);
+  if (!counters_destroyed_) {
+    // Destroy the hardware counters BEFORE any data leaves the machine
+    // (§VI-B): whatever happens later, the source's counters are gone, so
+    // stale persistent state cannot be replayed into a working fork.  If
+    // this pass fails half-way the library stays frozen and a retry
+    // resumes it (already-destroyed counters report kCounterNotFound).
+    const Status destroyed = destroy_active_counters();
+    if (destroyed != Status::kOk) {
+      return start_failure(destroyed, "destroying source counters");
+    }
+    counters_destroyed_ = true;
+  }
+  return persist_freeze();
+}
+
+MigrationLibrary::MeReply MigrationLibrary::ship_snapshot(
+    const std::string& destination, MigrationPolicy policy, LibMsgType type,
+    LibMsgType expected, const char* step, const char* refused) {
+  MeReply staged;
+  staged.result = stage_snapshot(destination);
+  if (!staged.result.ok()) return staged;
+  attempt_->policy = std::move(policy);
+  MigrateRequestPayload payload;
+  payload.destination_address = attempt_->destination;
+  payload.request_nonce = attempt_->nonce;
+  payload.policy = attempt_->policy;
+  payload.data = *attempt_->snapshot;
+  Bytes request = payload.serialize();
+  attempt_->payload_bytes = request.size();
+  return exchange(type, std::move(request), expected,
+                  Status::kMigrationAborted, step, refused);
+}
+
 MigrationStartResult MigrationLibrary::migration_start_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  const MigrationStartResult staged = stage_for_migration(destination_address);
-  if (!staged.ok()) return staged;
-
-  MigrateRequestPayload payload;
-  payload.destination_address = destination_address;
-  payload.request_nonce = staged_nonce_;
-  payload.policy = std::move(policy);
-  payload.data = *staged_outgoing_;
-  LibMsg request;
-  request.type = LibMsgType::kMigrateRequest;
-  request.payload = payload.serialize();
-  const uint64_t payload_bytes = request.payload.size();
-  auto reply = me_exchange_reattest(request);
-
-  // Resume check (§V-D hardening): an exchange that died mid-flight — the
-  // reply dropped by the network, or the ME restarting between accepting
-  // the request and answering — looks like a failure here even though the
-  // transfer may already sit, durably retained, in the ME's queue.  Before
-  // reporting failure, ask the ME (re-attesting if needed) for the fate of
-  // exactly THIS attempt; kPending/kCompleted means the source side is
-  // done and the migration proceeds at the destination.  A well-formed
-  // kError reply is a DEFINITIVE rejection (the retained path replies
-  // kMigrateAccepted, dedup'd re-sends included), so only transport-level
-  // failures are ambiguous enough to be worth the extra round trip.
-  if (!reply.ok()) {
-    auto attempt = query_status_internal(staged_nonce_);
-    if (attempt.ok() && (attempt.value() == OutgoingState::kPending ||
-                         attempt.value() == OutgoingState::kCompleted)) {
-      finish_outgoing(payload_bytes);
-      return MigrationStartResult{};
-    }
-    return start_failure(reply.status(), "ME exchange");
-  }
-  if (reply.value().type != LibMsgType::kMigrateAccepted) {
-    // Keep the staged data: the application may retry, possibly with a
-    // different destination (§V-D error handling).
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected,
-                         "destination rejected by source ME protocol");
-  }
-  finish_outgoing(payload_bytes);
+  const MeReply reply = ship_snapshot(
+      destination_address, std::move(policy), LibMsgType::kMigrateRequest,
+      LibMsgType::kMigrateAccepted, "ME exchange",
+      "destination rejected by source ME protocol");
+  if (reply.lost && resume_lost_reply()) return MigrationStartResult{};
+  // On failure the frozen snapshot stays staged: the application may
+  // retry, possibly with a different destination (§V-D error handling).
+  if (!reply.result.ok()) return reply.result;
+  finish_outgoing();
   return MigrationStartResult{};
 }
 
-// ----- pipelined (non-blocking) migration start -----
-
 MigrationStartResult MigrationLibrary::migration_enqueue_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  const MigrationStartResult staged = stage_for_migration(destination_address);
-  if (!staged.ok()) return staged;
-
-  staged_policy_ = policy;
-  MigrateRequestPayload payload;
-  payload.destination_address = destination_address;
-  payload.request_nonce = staged_nonce_;
-  payload.policy = std::move(policy);
-  payload.data = *staged_outgoing_;
-  LibMsg request;
-  request.type = LibMsgType::kMigrateEnqueue;
-  request.payload = payload.serialize();
-  const uint64_t payload_bytes = request.payload.size();
-  auto reply = me_exchange_reattest(request);
-  if (!reply.ok()) {
-    // The enqueue reply was lost: the task may or may not be queued.
-    // The poll disambiguates (kNone re-enqueues), so report in-flight
-    // only if we can SEE the task or its result; otherwise a classified
-    // transport failure lets the caller's retry machinery re-drive us.
-    return start_failure(reply.status(), "ME enqueue exchange");
-  }
-  if (reply.value().type != LibMsgType::kMigrateQueued) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected, "ME refused to queue the transfer");
-  }
-  enqueue_pending_ = true;
-  enqueued_bytes_ = payload_bytes;
+  // A lost enqueue reply leaves the task queued or not; a classified
+  // transport failure lets the caller's retry machinery re-drive us.
+  const MeReply reply = ship_snapshot(
+      destination_address, std::move(policy), LibMsgType::kMigrateEnqueue,
+      LibMsgType::kMigrateQueued, "ME enqueue exchange",
+      "ME refused to queue the transfer");
+  if (!reply.result.ok()) return reply.result;
+  attempt_->queued = true;
   if (obs::TraceRecorder* rec = recorder()) {
-    rec->instant("migration.queued", lane(), staged_nonce_,
+    rec->instant("migration.queued", lane(), attempt_->nonce,
                  {{"destination", destination_address}});
   }
   return MigrationStartResult{};
@@ -939,69 +949,46 @@ MigrationStartResult MigrationLibrary::migration_enqueue_detailed(
 
 MigrationStartResult MigrationLibrary::migration_reserve_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  if (!initialized_) {
-    return start_failure(Status::kNotInitialized, "library init check");
-  }
-  if (staged_outgoing_.has_value()) {
+  if (attempt_ && attempt_->snapshot.has_value()) {
     // A previous attempt already froze and collected: nothing left to
     // defer, so queue the armed snapshot directly (retries and re-routes
     // after a post-freeze failure land here).
     return migration_enqueue_detailed(destination_address, std::move(policy));
   }
-  if (runtime_frozen_) {
-    return start_failure(Status::kMigrationFrozen, "freeze check");
-  }
-  const Status channel_status = ensure_me_channel();
-  if (channel_status != Status::kOk) {
-    return start_failure(channel_status, "local ME attestation");
-  }
-  // One nonce per (attempt, destination), exactly as stage_for_migration
-  // draws it — but WITHOUT freezing.  The later freeze+arm reuses it.
-  if (staged_nonce_ == 0 || staged_destination_ != destination_address) {
-    if (staged_nonce_ != 0 && !staged_destination_.empty()) {
-      notify_abort_stale(staged_nonce_, staged_destination_);
-    }
-    staged_nonce_ = draw_attempt_nonce();
-    staged_destination_ = destination_address;
-  }
-  staged_policy_ = policy;
+  const MigrationStartResult ready = check_can_migrate(false);
+  if (!ready.ok()) return ready;
+  // The attempt is aimed (and its nonce drawn) WITHOUT freezing; the
+  // later freeze+arm reuses it.
+  attempt_toward(destination_address, Attempt::Kind::kSnapshot);
+  attempt_->policy = policy;
   MigrateReservePayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = staged_nonce_;
+  payload.request_nonce = attempt_->nonce;
   payload.policy = std::move(policy);
-  LibMsg request;
-  request.type = LibMsgType::kMigrateReserve;
-  request.payload = payload.serialize();
-  auto reply = me_exchange_reattest(request);
-  if (!reply.ok()) {
-    // Nothing destructive happened (no freeze, no destroys): a classified
-    // transport failure lets the caller's retry machinery re-drive us.
-    return start_failure(reply.status(), "ME reserve exchange");
-  }
-  if (reply.value().type != LibMsgType::kMigrateQueued) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected, "ME refused to reserve the transfer");
-  }
-  enqueue_pending_ = true;
-  enqueued_bytes_ = 0;
+  // Nothing destructive happens here (no freeze, no destroys): a failure
+  // lets the caller's retry machinery re-drive us.
+  const MeReply reply =
+      exchange(LibMsgType::kMigrateReserve, payload.serialize(),
+               LibMsgType::kMigrateQueued, Status::kMigrationAborted,
+               "ME reserve exchange", "ME refused to reserve the transfer");
+  if (!reply.result.ok()) return reply.result;
+  attempt_->queued = true;
   enqueue_started_ = now();
   last_enqueue_wait_ = Duration{};
-  trace_attempt_root(staged_nonce_);
+  trace_attempt_root(attempt_->nonce);
   if (obs::TraceRecorder* rec = recorder()) {
     if (enqueue_span_ != 0) rec->end_span(enqueue_span_);
     enqueue_span_ =
-        rec->begin_span("enqueue_wait", lane(), staged_nonce_, root_span_);
+        rec->begin_span("enqueue_wait", lane(), attempt_->nonce, root_span_);
     rec->span_arg(enqueue_span_, "destination", destination_address);
   }
   return MigrationStartResult{};
 }
 
 MigrationStartResult MigrationLibrary::arm_reserved_slot() {
-  if (!staged_outgoing_.has_value()) {
+  if (!attempt_->snapshot.has_value()) {
     // First arm of this attempt: the live queue wait ends here — the
-    // freeze clock starts inside stage_for_migration.
+    // freeze clock starts inside stage_snapshot.
     last_enqueue_wait_ = now() - enqueue_started_;
     if (obs::TraceRecorder* rec = recorder();
         rec != nullptr && enqueue_span_ != 0) {
@@ -1011,112 +998,50 @@ MigrationStartResult MigrationLibrary::arm_reserved_slot() {
       enqueue_span_ = 0;
     }
   }
-  // stage_for_migration treats every fresh freeze as a fresh attempt
-  // (clears the staged destination, draws a new nonce) — but the reserve
-  // already drew this attempt's nonce and queued it at the ME, so the
-  // pair must survive the staging.  Locals also dodge aliasing: passing
-  // the member itself would hand stage_for_migration a reference it
-  // clears mid-flight.
-  const std::string destination = staged_destination_;
-  const uint64_t reserved_nonce = staged_nonce_;
-  const MigrationStartResult staged = stage_for_migration(destination);
-  if (!staged.ok()) return staged;
-  staged_nonce_ = reserved_nonce;
-  staged_destination_ = destination;
-  // stage_for_migration re-keyed the trace onto its throwaway nonce;
-  // point the root and the freeze span back at the reserved one every
-  // downstream span (the enqueue wait above, the ME transfer, the
-  // destination's restore) is keyed by, or the tree splits at the root.
-  trace_attempt_root(staged_nonce_);
-  if (obs::TraceRecorder* rec = recorder();
-      rec != nullptr && freeze_span_ != 0) {
-    rec->assign_trace(freeze_span_, staged_nonce_);
-  }
-  enqueue_pending_ = true;  // the ME still tracks the reserved task
-  MigrateRequestPayload payload;
-  payload.destination_address = destination;
-  payload.request_nonce = staged_nonce_;
-  payload.policy = staged_policy_;
-  payload.data = *staged_outgoing_;
-  LibMsg request;
-  request.type = LibMsgType::kMigrateArm;
-  request.payload = payload.serialize();
-  enqueued_bytes_ = request.payload.size();
-  auto reply = me_exchange_reattest(request);
-  if (!reply.ok()) {
-    // The arm reply was lost: the parked task may or may not hold the
-    // payload.  The next poll disambiguates — a re-observed kSlotLive
-    // re-arms idempotently, kInFlight/kAccepted proceed normally.
-    return start_failure(reply.status(), "ME arm exchange");
-  }
-  if (reply.value().type != LibMsgType::kArmAck) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    return start_failure(rejected, "ME refused the armed payload");
-  }
-  MigrationStartResult in_flight;
-  in_flight.status = Status::kMigrationInProgress;
-  in_flight.failure_class = MigrationFailureClass::kNone;
-  in_flight.message = "armed; transfer in flight";
-  return in_flight;
+  // Copies: ship_snapshot must not be handed references into the attempt
+  // it updates.  The attempt stays queued: the ME still tracks the
+  // reserved task.  A lost arm reply leaves the parked task's payload
+  // unknown; the next poll disambiguates — a re-observed kSlotLive
+  // re-arms idempotently, kInFlight/kAccepted proceed normally.
+  const std::string destination = attempt_->destination;
+  const MeReply reply = ship_snapshot(
+      destination, attempt_->policy, LibMsgType::kMigrateArm,
+      LibMsgType::kArmAck, "ME arm exchange", "ME refused the armed payload");
+  if (!reply.result.ok()) return reply.result;
+  return MigrationStartResult::pending("armed; transfer in flight");
 }
 
 MigrationStartResult MigrationLibrary::migration_poll_transfer() {
-  if (!initialized_) {
-    return start_failure(Status::kNotInitialized, "library init check");
-  }
-  if (!enqueue_pending_ || staged_nonce_ == 0) {
+  if (initialized_ && !transfer_enqueued()) {
     return start_failure(Status::kNoPendingMigration,
                          "no queued transfer to poll");
   }
-  const Status channel_status = ensure_me_channel();
-  if (channel_status != Status::kOk) {
-    return start_failure(channel_status, "local ME attestation");
-  }
+  // Polling is how a frozen attempt learns its fate.
+  const MigrationStartResult ready = check_can_migrate(/*resumes_frozen=*/true);
+  if (!ready.ok()) return ready;
   PollTransferPayload query;
-  query.request_nonce = staged_nonce_;
-  LibMsg request;
-  request.type = LibMsgType::kPollTransfer;
-  request.payload = query.serialize();
-  auto reply = me_exchange_reattest(request);
-  if (!reply.ok()) {
-    // Same resume check as the blocking path: a lost poll reply must not
-    // be mistaken for a lost transfer — if the attempt is retained or
-    // completed in the ME's durable queue, the source side is done.
-    auto attempt = query_status_internal(staged_nonce_);
-    if (attempt.ok() && (attempt.value() == OutgoingState::kPending ||
-                         attempt.value() == OutgoingState::kCompleted)) {
-      finish_outgoing(enqueued_bytes_);
-      return MigrationStartResult{};
-    }
-    return start_failure(reply.status(), "ME poll exchange");
-  }
-  if (reply.value().type != LibMsgType::kTransferProgress) {
-    return start_failure(reply.value().status != Status::kOk
-                             ? reply.value().status
-                             : Status::kUnexpected,
-                         "ME poll reply");
-  }
-  auto progress = TransferProgressPayload::deserialize(reply.value().payload);
+  query.request_nonce = attempt_->nonce;
+  const MeReply reply =
+      exchange(LibMsgType::kPollTransfer, query.serialize(),
+               LibMsgType::kTransferProgress, Status::kUnexpected,
+               "ME poll exchange", "ME poll reply");
+  // A lost poll reply must not be mistaken for a lost transfer.
+  if (reply.lost && resume_lost_reply()) return MigrationStartResult{};
+  if (!reply.result.ok()) return reply.result;
+  auto progress = TransferProgressPayload::deserialize(reply.msg.payload);
   if (!progress.ok()) {
     return start_failure(progress.status(), "ME poll reply");
   }
   switch (progress.value().progress) {
     case TransferProgress::kAccepted:
-      finish_outgoing(enqueued_bytes_);
+      finish_outgoing();
       return MigrationStartResult{};
     case TransferProgress::kSlotLive:
       // The ME attested the destination and parked the slot: NOW run the
       // destructive freeze+collect and arm the payload.
       return arm_reserved_slot();
-    case TransferProgress::kInFlight: {
-      MigrationStartResult in_flight;
-      in_flight.status = Status::kMigrationInProgress;
-      in_flight.failure_class = MigrationFailureClass::kNone;
-      in_flight.message = "transfer in flight";
-      return in_flight;
-    }
+    case TransferProgress::kInFlight:
+      return MigrationStartResult::pending("transfer in flight");
     case TransferProgress::kFailed:
       // Terminal for THIS attempt; the staged data stays for a retry or
       // re-route, exactly like a blocking-start failure.
@@ -1125,54 +1050,32 @@ MigrationStartResult MigrationLibrary::migration_poll_transfer() {
       break;
   }
   // The ME does not know the nonce (it restarted before the task was
-  // queued, or lost its storage): re-enqueue from the staged data — or
-  // re-reserve if this freeze-aware attempt never froze.
-  enqueue_pending_ = false;
-  if (async_finalize_pending_) {
-    // The ME lost the queued finalize (restart drops the memory-only
-    // staged record, or the ship budget ran out): surface a retryable
-    // failure — the caller re-drives migration_finalize_detailed, which
+  // queued, or lost its storage).
+  attempt_->queued = false;
+  if (attempt_->kind == Attempt::Kind::kPrecopy) {
+    // A lost queued finalize (restart drops the memory-only staged
+    // record, or the ship budget ran out) surfaces as a retryable
+    // failure: the caller re-drives migration_finalize_detailed, which
     // the ME dedups by nonce if the record actually landed.
-    async_finalize_pending_ = false;
     return start_failure(Status::kServiceUnavailable,
                          "ME lost the queued finalize");
   }
+  // Re-reserve — which re-enqueues the snapshot if this attempt already
+  // froze.  Copies: the callee re-aims the attempt.
+  const std::string destination = attempt_->destination;
   const MigrationStartResult requeued =
-      staged_outgoing_.has_value()
-          ? migration_enqueue_detailed(staged_destination_, staged_policy_)
-          : migration_reserve_detailed(staged_destination_, staged_policy_);
+      migration_reserve_detailed(destination, attempt_->policy);
   if (!requeued.ok()) return requeued;
-  MigrationStartResult in_flight;
-  in_flight.status = Status::kMigrationInProgress;
-  in_flight.failure_class = MigrationFailureClass::kNone;
-  in_flight.message = "transfer re-queued";
-  return in_flight;
+  return MigrationStartResult::pending("transfer re-queued");
 }
 
 // ----- live pre-copy migration (iterative rounds + finalize) -----
-
-void MigrationLibrary::reset_precopy(const std::string& destination_address) {
-  // Re-routing abandons the previous attempt: its staged rounds at the
-  // old destination (and the source ME's merged set) are orphans —
-  // expire them proactively instead of waiting for the age sweep.
-  if (precopy_nonce_ != 0 && !precopy_destination_.empty() &&
-      precopy_destination_ != destination_address) {
-    notify_abort_stale(precopy_nonce_, precopy_destination_);
-  }
-  precopy_nonce_ = draw_attempt_nonce();
-  precopy_destination_ = destination_address;
-  shipped_generation_ = {};
-  staged_chunks_.clear();
-  final_chunks_.clear();
-  precopy_rounds_ = 0;
-  precopy_bytes_ = 0;
-}
 
 Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
     bool include_all_populated) {
   std::vector<CounterChunk> out;
   for (size_t c = 0; c < kPrecopyChunkCount; ++c) {
-    bool collect = chunk_generation_[c] > shipped_generation_[c];
+    bool collect = chunk_generation_[c] > attempt_->shipped_generation[c];
     if (!collect && include_all_populated) {
       for (size_t s = 0; s < kPrecopyChunkSlots && !collect; ++s) {
         collect = state_.counters_active[c * kPrecopyChunkSlots + s];
@@ -1211,8 +1114,8 @@ Result<std::vector<CounterChunk>> MigrationLibrary::collect_dirty_chunks(
 
 std::vector<ChunkManifestEntry> MigrationLibrary::staged_manifest() const {
   std::vector<ChunkManifestEntry> manifest;
-  manifest.reserve(staged_chunks_.size());
-  for (const auto& [index, chunk] : staged_chunks_) {
+  manifest.reserve(attempt_->staged_chunks.size());
+  for (const auto& [index, chunk] : attempt_->staged_chunks) {
     manifest.push_back({index, chunk.generation});
   }
   return manifest;
@@ -1226,63 +1129,51 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
   if (destination_address.empty()) return Status::kInvalidParameter;
   const Status channel_status = ensure_me_channel();
   if (channel_status != Status::kOk) return channel_status;
-  if (precopy_destination_ != destination_address) {
-    reset_precopy(destination_address);
-  }
+  // Switching destination restarts the attempt (fresh nonce, full
+  // re-ship); the old destination's staged rounds are aborted.
+  attempt_toward(destination_address, Attempt::Kind::kPrecopy);
+  Attempt& attempt = *attempt_;
 
-  trace_attempt_root(precopy_nonce_);
-  uint64_t round_span = 0;
-  if (obs::TraceRecorder* rec = recorder()) {
-    round_span =
-        rec->begin_span("precopy_round", lane(), precopy_nonce_, root_span_);
-    rec->span_arg(round_span, "round", static_cast<uint64_t>(precopy_rounds_));
-  }
-  const auto end_round = [&](const char* outcome) {
-    obs::TraceRecorder* rec = recorder();
-    if (rec == nullptr || round_span == 0) return;
-    rec->span_arg(round_span, "outcome", outcome);
-    rec->end_span(round_span);
-  };
+  trace_attempt_root(attempt.nonce);
+  const uint64_t round_span =
+      trace_step_begin("precopy_round", attempt.nonce, "round", attempt.rounds);
 
   auto chunks = collect_dirty_chunks(/*include_all_populated=*/
-                                     precopy_rounds_ == 0);
+                                     attempt.rounds == 0);
   if (!chunks.ok()) {
-    end_round("collect-failed");
+    trace_step_end(round_span, "collect-failed");
     return chunks.status();
   }
 
   PrecopyRoundPayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = precopy_nonce_;
-  payload.round = precopy_rounds_;
+  payload.request_nonce = attempt.nonce;
+  payload.round = attempt.rounds;
   payload.policy = std::move(policy);
   payload.chunks = chunks.value();
-  LibMsg request;
-  request.type = LibMsgType::kPrecopyRound;
-  request.payload = payload.serialize();
-  auto reply = me_exchange_reattest(request);
-  if (!reply.ok()) {
-    end_round("exchange-failed");
-    return reply.status();
-  }
-  if (reply.value().type != LibMsgType::kPrecopyAck) {
-    end_round("rejected");
-    return reply.value().status != Status::kOk ? reply.value().status
-                                               : Status::kUnexpected;
+  Bytes request = payload.serialize();
+  const uint64_t request_bytes = request.size();
+  const MeReply reply =
+      exchange(LibMsgType::kPrecopyRound, std::move(request),
+               LibMsgType::kPrecopyAck, Status::kUnexpected,
+               "ME round exchange", "ME round reply");
+  if (!reply.result.ok()) {
+    trace_step_end(round_span, reply.lost ? "exchange-failed" : "rejected");
+    return reply.result.status;
   }
   // Commit only after the ME acknowledged: a failed round re-collects and
   // re-ships the same chunks (the destination merges idempotently by
   // generation).
   for (CounterChunk& chunk : chunks.value()) {
-    shipped_generation_[chunk.index] = chunk.generation;
-    staged_chunks_[chunk.index] = chunk;
+    attempt.shipped_generation[chunk.index] = chunk.generation;
+    attempt.staged_chunks[chunk.index] = chunk;
   }
   PrecopyRoundReport report;
-  report.round = precopy_rounds_;
+  report.round = attempt.rounds;
   report.chunks_shipped = static_cast<uint32_t>(chunks.value().size());
-  report.bytes_shipped = request.payload.size();
-  precopy_bytes_ += request.payload.size();
-  ++precopy_rounds_;
+  report.bytes_shipped = request_bytes;
+  attempt.round_bytes += request_bytes;
+  ++attempt.rounds;
   if (obs::Observability* obs = observability();
       obs != nullptr && obs->enabled()) {
     if (round_span != 0) {
@@ -1294,7 +1185,7 @@ Result<PrecopyRoundReport> MigrationLibrary::migration_precopy_round(
     obs->metrics.observe("migration.precopy_round_bytes",
                          static_cast<double>(report.bytes_shipped));
   }
-  end_round("ok");
+  trace_step_end(round_span, "ok");
   return report;
 }
 
@@ -1306,81 +1197,46 @@ Status MigrationLibrary::migration_finalize(
 
 MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     const std::string& destination_address, MigrationPolicy policy) {
-  if (!initialized_) {
-    return start_failure(Status::kNotInitialized, "library init check");
-  }
-  if (state_.epoch_active == 0) {
+  if (initialized_ && state_.epoch_active == 0) {
     return start_failure(Status::kInvalidState,
                          "live-transfer capability check");
   }
-  if (runtime_frozen_ && !finalize_staged_) {
-    // Frozen by a completed migration (or a staged full-snapshot start):
-    // there is nothing for THIS protocol to finalize.
-    return start_failure(Status::kMigrationFrozen, "freeze check");
-  }
-  const Status channel_status = ensure_me_channel();
-  if (channel_status != Status::kOk) {
-    return start_failure(channel_status, "local ME attestation");
-  }
+  // Only a frozen finalize resumes; frozen by a completed migration (or a
+  // staged full-snapshot start) leaves nothing for THIS protocol.
+  const bool frozen = attempt_ && attempt_->finalize_frozen;
+  const MigrationStartResult ready = check_can_migrate(frozen);
+  if (!ready.ok()) return ready;
 
-  if (!finalize_staged_) {
-    if (precopy_destination_ != destination_address) {
-      // Pure stop-and-copy (no prior rounds) or a pre-freeze re-route:
-      // everything ships inside the finalize.
-      reset_precopy(destination_address);
+  if (!frozen) {
+    // Pure stop-and-copy (no prior rounds) or a pre-freeze re-route ships
+    // everything inside the finalize.
+    attempt_toward(destination_address, Attempt::Kind::kPrecopy);
+    Attempt& attempt = *attempt_;
+    const MigrationStartResult froze =
+        freeze_and_collect("collecting final delta", [&] {
+          auto delta = collect_dirty_chunks(/*include_all_populated=*/
+                                            attempt.rounds == 0);
+          if (delta.ok()) attempt.final_chunks = std::move(delta).value();
+          return delta.status();
+        });
+    if (!froze.ok()) return froze;
+    for (const CounterChunk& chunk : attempt.final_chunks) {
+      attempt.shipped_generation[chunk.index] = chunk.generation;
+      attempt.staged_chunks[chunk.index] = chunk;
     }
-    // Fence batched mutations, then freeze: the stored buffer must
-    // reflect every completed operation before operations stop.
-    const Status fence = engine_->flush(*this);
-    if (fence != Status::kOk) {
-      return start_failure(fence, "pre-freeze persistence fence");
-    }
-    if (obs::Observability* obs = observability();
-        obs != nullptr && obs->enabled()) {
-      obs->metrics.add("persist.flush_fences");
-    }
-    freeze_started_ = now();
-    runtime_frozen_ = true;
-    trace_freeze_begin();
-    auto delta = collect_dirty_chunks(/*include_all_populated=*/
-                                      precopy_rounds_ == 0);
-    if (!delta.ok()) {
-      // Nothing destructive yet: unfreeze and let the caller retry.
-      runtime_frozen_ = false;
-      if (obs::TraceRecorder* rec = recorder();
-          rec != nullptr && freeze_span_ != 0) {
-        rec->span_arg(freeze_span_, "outcome", "collect-failed");
-        rec->end_span(freeze_span_);
-      }
-      freeze_span_ = 0;
-      return start_failure(delta.status(), "collecting final delta");
-    }
-    final_chunks_ = std::move(delta).value();
-    for (const CounterChunk& chunk : final_chunks_) {
-      shipped_generation_[chunk.index] = chunk.generation;
-      staged_chunks_[chunk.index] = chunk;
-    }
-    finalize_staged_ = true;
-  } else if (precopy_destination_ != destination_address) {
+    attempt.finalize_frozen = true;
+  } else if (attempt_toward(destination_address, Attempt::Kind::kPrecopy)) {
     // Re-route after the freeze: the new destination has no staged
-    // rounds, so the finalize carries the full staged set under a fresh
-    // nonce (a transfer that landed at the old destination must never be
-    // mistaken for success toward the new one).  The old destination's
-    // staging/pending entry is an orphan — abort it proactively.
-    notify_abort_stale(precopy_nonce_, precopy_destination_);
-    precopy_nonce_ = draw_attempt_nonce();
-    precopy_destination_ = destination_address;
-    final_chunks_.clear();
-    for (const auto& [index, chunk] : staged_chunks_) {
-      final_chunks_.push_back(chunk);
+    // rounds, so the finalize carries the full staged set.
+    attempt_->final_chunks.clear();
+    for (const auto& [index, chunk] : attempt_->staged_chunks) {
+      attempt_->final_chunks.push_back(chunk);
     }
   }
+  Attempt& attempt = *attempt_;
+  attempt.policy = policy;
 
-  trace_attempt_root(precopy_nonce_);
-  if (obs::TraceRecorder* rec = recorder();
-      rec != nullptr && freeze_span_ != 0) {
-    rec->assign_trace(freeze_span_, precopy_nonce_);
-  }
+  trace_attempt_root(attempt.nonce);
 
   if (!epoch_invalidated_ && !chaos_epoch_guard_disabled_) {
     // Constant-time invalidation of the sealed-buffer lineage: ONE epoch
@@ -1395,101 +1251,68 @@ MigrationStartResult MigrationLibrary::migration_finalize_detailed(
     state_.epoch_value = bumped.value();
     epoch_invalidated_ = true;
   }
-  if (!freeze_persisted_) {
-    // Persist the freeze flag (with the advanced epoch) so a restarted
-    // instance refuses to operate; durable regardless of engine.
-    state_.frozen = 1;
-    const Status persist_status =
-        persist_mutation_durable(MutationKind::kFreeze);
-    if (persist_status != Status::kOk) {
-      return start_failure(persist_status, "persisting freeze flag");
-    }
-    freeze_persisted_ = true;
-  }
+  // The freeze flag is persisted with the advanced epoch.
+  const MigrationStartResult persisted = persist_freeze();
+  if (!persisted.ok()) return persisted;
 
-  uint64_t finalize_span = 0;
-  if (obs::TraceRecorder* rec = recorder()) {
-    finalize_span =
-        rec->begin_span("finalize", lane(), precopy_nonce_, root_span_);
-    rec->span_arg(finalize_span, "rounds",
-                  static_cast<uint64_t>(precopy_rounds_));
-  }
-  const auto end_finalize = [&](const char* outcome) {
-    obs::TraceRecorder* rec = recorder();
-    if (rec == nullptr || finalize_span == 0) return;
-    rec->span_arg(finalize_span, "outcome", outcome);
-    rec->end_span(finalize_span);
-  };
+  const uint64_t finalize_span =
+      trace_step_begin("finalize", attempt.nonce, "rounds", attempt.rounds);
 
   PrecopyFinalizePayload payload;
   payload.destination_address = destination_address;
-  payload.request_nonce = precopy_nonce_;
-  payload.round = precopy_rounds_;
-  payload.policy = policy;
-  payload.chunks = final_chunks_;
+  payload.request_nonce = attempt.nonce;
+  payload.round = attempt.rounds;
+  payload.policy = std::move(policy);
+  payload.chunks = attempt.final_chunks;
   payload.manifest = staged_manifest();
   payload.msk = state_.msk;
-  LibMsg request;
-  request.type = LibMsgType::kPrecopyFinalizeReq;
-  request.payload = payload.serialize();
-  auto reply = me_exchange_reattest(request);
-
-  if (reply.ok() && reply.value().type == LibMsgType::kError &&
-      reply.value().status == Status::kPrecopyIncomplete) {
+  const auto ship = [&] {
+    Bytes request = payload.serialize();
+    attempt.payload_bytes = attempt.round_bytes + request.size();
+    return exchange(LibMsgType::kPrecopyFinalizeReq, std::move(request),
+                    LibMsgType::kFinalizeAccepted, Status::kMigrationAborted,
+                    "ME finalize exchange",
+                    "destination rejected by source ME protocol");
+  };
+  MeReply reply = ship();
+  if (!reply.lost && reply.msg.type == LibMsgType::kError &&
+      reply.msg.status == Status::kPrecopyIncomplete) {
     // The destination's staged rounds do not cover the manifest (it lost
     // its queue, or a superseded attempt left partial staging): re-ship
     // the complete staged set once.
     payload.chunks.clear();
-    for (const auto& [index, chunk] : staged_chunks_) {
+    for (const auto& [index, chunk] : attempt.staged_chunks) {
       payload.chunks.push_back(chunk);
     }
-    request.payload = payload.serialize();
-    reply = me_exchange_reattest(request);
+    reply = ship();
   }
 
-  if (!reply.ok()) {
-    // Ambiguous transport failure: the ME (or its reply path) died
-    // mid-exchange.  Ask for the fate of exactly this attempt — a
-    // retained or completed transfer means the source side is done.
-    auto attempt = query_status_internal(precopy_nonce_);
-    if (!attempt.ok() || (attempt.value() != OutgoingState::kPending &&
-                          attempt.value() != OutgoingState::kCompleted)) {
-      end_finalize("exchange-failed");
-      return start_failure(reply.status(), "ME finalize exchange");
+  if (reply.lost) {
+    if (!resume_lost_reply()) {
+      trace_step_end(finalize_span, "exchange-failed");
+      return reply.result;
     }
-    end_finalize("resumed");
-  } else if (reply.value().type == LibMsgType::kMigrateQueued) {
+    trace_step_end(finalize_span, "resumed");
+    return MigrationStartResult{};
+  }
+  if (reply.msg.type == LibMsgType::kMigrateQueued) {
     // Async source ME: the sealed finalize record ships through the
     // deferred pump — the enqueue-then-poll contract of the pipelined
     // full-snapshot path.  The enclave stays frozen; the freeze ends only
     // when the poll observes the destination's accept (finish_outgoing
     // then also runs the pre-copy teardown).
-    staged_nonce_ = precopy_nonce_;
-    staged_destination_ = destination_address;
-    staged_policy_ = policy;
-    enqueue_pending_ = true;
-    async_finalize_pending_ = true;
-    enqueued_bytes_ = precopy_bytes_ + request.payload.size();
-    end_finalize("queued");
-    MigrationStartResult in_flight;
-    in_flight.status = Status::kMigrationInProgress;
-    in_flight.failure_class = MigrationFailureClass::kNone;
-    in_flight.message = "finalize queued at source ME";
-    return in_flight;
-  } else if (reply.value().type != LibMsgType::kFinalizeAccepted) {
-    const Status rejected = reply.value().status != Status::kOk
-                                ? reply.value().status
-                                : Status::kMigrationAborted;
-    end_finalize("rejected");
-    return start_failure(rejected,
-                         "destination rejected by source ME protocol");
-  } else {
-    end_finalize("ok");
+    attempt.queued = true;
+    trace_step_end(finalize_span, "queued");
+    return MigrationStartResult::pending("finalize queued at source ME");
   }
-
+  if (!reply.result.ok()) {
+    trace_step_end(finalize_span, "rejected");
+    return reply.result;
+  }
+  trace_step_end(finalize_span, "ok");
   // The destination ME holds the authoritative snapshot: the freeze
   // window ends here.
-  finish_outgoing(precopy_bytes_ + request.payload.size());
+  finish_outgoing();
   return MigrationStartResult{};
 }
 
@@ -1518,8 +1341,8 @@ Result<OutgoingState> MigrationLibrary::query_migration_status() {
 }
 
 Result<OutgoingState> MigrationLibrary::query_staged_attempt_status() {
-  if (staged_nonce_ == 0) return OutgoingState::kNone;
-  return query_status_internal(staged_nonce_);
+  if (!attempt_) return OutgoingState::kNone;
+  return query_status_internal(attempt_->nonce);
 }
 
 }  // namespace sgxmig::migration

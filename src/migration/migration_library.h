@@ -117,6 +117,14 @@ struct MigrationStartResult {
   bool retryable() const {
     return migration_failure_is_retryable(failure_class);
   }
+  /// Not a failure: the attempt is queued or mid-protocol — pump, then
+  /// poll (or step) again.
+  bool in_flight() const {
+    return status == Status::kMigrationInProgress &&
+           failure_class == MigrationFailureClass::kNone;
+  }
+  /// An in-flight result whose message says where the attempt stands.
+  static MigrationStartResult pending(std::string message);
 };
 
 class MigrationLibrary : private PersistSink {
@@ -212,7 +220,7 @@ class MigrationLibrary : private PersistSink {
   MigrationStartResult migration_poll_transfer();
 
   /// True while an enqueued attempt is awaiting its poll verdict.
-  bool transfer_enqueued() const { return enqueue_pending_; }
+  bool transfer_enqueued() const { return attempt_ && attempt_->queued; }
 
   // ----- live pre-copy migration (iterative, VM-live-migration style) ---
   //
@@ -253,11 +261,11 @@ class MigrationLibrary : private PersistSink {
   Result<OutgoingState> query_migration_status();
 
   /// Asks the local ME for the fate of the CURRENT migration attempt
-  /// (identified by the request nonce staged by migration_start).  This is
-  /// how a caller — or migration_start itself — distinguishes "the ME
+  /// (identified by its request nonce, whichever entry point drew it).
+  /// This is how a caller — or the library itself — distinguishes "the ME
   /// never saw my request" from "the ME accepted it but the reply (or the
   /// ME process) died": the latter returns kPending/kCompleted from the
-  /// ME's durable transfer queue.  kNone when nothing is staged.
+  /// ME's durable transfer queue.  kNone when no attempt exists.
   Result<OutgoingState> query_staged_attempt_status();
 
   // ----- Listing 2: interface for the application enclave -----
@@ -327,7 +335,8 @@ class MigrationLibrary : private PersistSink {
   /// This enclave's machine address (the lane spans are attributed to).
   const std::string& lane() const;
   /// Ensures the attempt's root span ("migration", one per trace id) is
-  /// open, binding `nonce` as the trace id.
+  /// open, binding `nonce` as the trace id of the root and of the open
+  /// freeze span, if any.
   void trace_attempt_root(uint64_t nonce);
   /// Opens the freeze span at freeze_started_ (trace id bound later if
   /// the nonce does not exist yet).
@@ -335,6 +344,12 @@ class MigrationLibrary : private PersistSink {
   /// Closes the freeze span where last_freeze_window_ is computed, so the
   /// trace-derived window equals the reported one BY CONSTRUCTION.
   void trace_freeze_end();
+  /// Opens a protocol-step span (one numeric arg) under the attempt's
+  /// root; 0 when tracing is off.
+  uint64_t trace_step_begin(const char* name, uint64_t nonce, const char* key,
+                            uint64_t value);
+  /// Closes a step span tagged with its outcome (no-op for span 0).
+  void trace_step_end(uint64_t span, const char* outcome);
   /// Closes the attempt's spans and root on the accepted verdict.
   void trace_attempt_done(uint64_t nonce, uint64_t payload_bytes);
 
@@ -344,23 +359,116 @@ class MigrationLibrary : private PersistSink {
   /// counter UUIDs): report + fence, regardless of engine.
   Status persist_mutation_durable(MutationKind kind);
 
+  /// The one outgoing migration attempt (paper §V-D: one per enclave).
+  /// It is frozen once, identified by one request nonce, retried toward
+  /// the same destination under that nonce, and re-keyed only when it is
+  /// re-routed.
+  struct Attempt {
+    enum class Kind : uint8_t {
+      kSnapshot,  // full snapshot: start, enqueue, or reserve + arm
+      kPrecopy,   // dirty-chunk rounds, then a finalize
+    };
+    Kind kind = Kind::kSnapshot;
+
+    // Identity, re-keyed by attempt_toward on a re-route.  The ME stores
+    // the nonce durably with the retained transfer, which makes every
+    // request exactly-once (re-sends are deduplicated) and resumable (a
+    // nonce-scoped status query reveals whether a lost reply — or a
+    // restarted ME — actually accepted the transfer).  A re-route draws
+    // a FRESH nonce: a transfer that landed at the old destination must
+    // never be mistaken for success toward the new one.  The policy is
+    // kept so an internal re-enqueue (the ME forgot the nonce) re-ships
+    // under the constraints the caller staged.
+    uint64_t nonce = 0;
+    std::string destination;
+    MigrationPolicy policy;
+
+    // Frozen payload: collected once at the freeze and re-shipped as is
+    // after a re-route.  Counter values are unreadable once the counters
+    // are destroyed (snapshot) or retired (pre-copy), so a retry can
+    // only resend what was collected.
+    std::optional<MigrationData> snapshot;  // kSnapshot
+    bool finalize_frozen = false;  // kPrecopy: final delta collected
+    std::vector<CounterChunk> final_chunks;
+
+    // Pre-copy progress: what THIS destination already holds.  Before
+    // the freeze a re-route starts over (the new destination holds
+    // nothing); after it the merged set is part of the frozen payload,
+    // and the finalize carries all of it to the new destination.
+    std::array<uint64_t, kPrecopyChunkCount> shipped_generation{};
+    std::map<uint32_t, CounterChunk> staged_chunks;  // every shipped chunk
+    uint32_t rounds = 0;
+    uint64_t round_bytes = 0;
+
+    // Queue state: whether a queued request awaits its poll verdict, and
+    // the payload bytes the accepted verdict reports (all rounds plus
+    // the finalize, or the snapshot request).  A re-route supersedes the
+    // queued request.
+    bool queued = false;
+    uint64_t payload_bytes = 0;
+
+    bool frozen() const { return snapshot.has_value() || finalize_frozen; }
+  };
+
+  /// Reply of one LA exchange, checked against the type the entry point
+  /// expects.
+  struct MeReply {
+    MigrationStartResult result;  // ok: `msg` has the expected type
+    LibMsg msg;                   // the reply, when one arrived
+    bool lost = false;  // transport failure: the ME may have processed it
+  };
+
   Status ensure_me_channel();
-  /// The destructive front half of migration_start: freeze, collect,
-  /// draw/reuse the attempt nonce, destroy counters, persist the freeze
-  /// flag.  Idempotent across retries; on success the staged snapshot and
-  /// nonce are ready to ship toward `destination_address`.
-  MigrationStartResult stage_for_migration(
-      const std::string& destination_address);
+  /// The checks a migrating entry point opens with, before it touches
+  /// the attempt: initialized, not frozen (unless `resumes_frozen`: the
+  /// frozen attempt itself is being resumed), and the local ME attested
+  /// — an attest that must precede the destructive freeze.
+  MigrationStartResult check_can_migrate(bool resumes_frozen);
+  /// Aims the attempt at `destination`, creating it if needed.  The only
+  /// place that draws an attempt nonce and aborts a superseded attempt:
+  /// an attempt already aimed there is kept as is; otherwise the old
+  /// destination's orphan (if any) is aborted and the attempt re-keyed
+  /// under a fresh nonce, keeping its frozen payload.  Returns true when
+  /// it re-keyed.
+  bool attempt_toward(const std::string& destination, Attempt::Kind kind);
+  /// The freeze prologue: fences batched mutations, freezes, opens the
+  /// freeze span and runs `collect`.  A collect failure unwinds the
+  /// freeze (nothing destructive happened yet) and names `step`.
+  MigrationStartResult freeze_and_collect(
+      const char* step, const std::function<Status()>& collect);
+  /// Durably persists the freeze flag, once per library lifetime.
+  MigrationStartResult persist_freeze();
+  /// The destructive front half of a full-snapshot attempt: freeze,
+  /// collect, aim the attempt, destroy counters, persist the freeze
+  /// flag.  Idempotent across retries; on success the attempt holds the
+  /// snapshot, nonce and destination to ship.
+  MigrationStartResult stage_snapshot(const std::string& destination);
+  /// Stages the snapshot toward `destination`, then sends it as a
+  /// MigrateRequestPayload (kMigrateRequest, kMigrateEnqueue or
+  /// kMigrateArm) through exchange(); records its size as payload_bytes.
+  MeReply ship_snapshot(const std::string& destination,
+                        MigrationPolicy policy, LibMsgType type,
+                        LibMsgType expected, const char* step,
+                        const char* refused);
+  /// Sends one request of an entry point over the LA channel (re-attesting
+  /// once if the ME lost the session) and maps the reply: a reply of type
+  /// `expected` is ok; a transport failure names `step`; any other reply
+  /// names `refused`, with the reply's status or else `fallback`.
+  MeReply exchange(LibMsgType type, Bytes payload, LibMsgType expected,
+                   Status fallback, const char* step, const char* refused);
+  /// Lost-reply resume (§V-D): after a transport failure, asks the ME for
+  /// the fate of the attempt's nonce.  A retained or completed transfer
+  /// means the source side is done: finishes the attempt, returns true.
+  bool resume_lost_reply();
   /// Best-effort proactive abort of a superseded attempt: tells the local
   /// ME that (nonce, old destination) was re-routed so the orphaned
   /// destination entry can be expired now instead of by the pull-based
   /// reconcile sweep.  Failures are ignored — the sweep remains the
   /// backstop.
   void notify_abort_stale(uint64_t nonce, const std::string& old_destination);
-  /// Shared success tail of every outgoing path (blocking start, polled
-  /// enqueue, synchronous or queued pre-copy finalize): freeze-window and
-  /// payload metrics, the pre-copy teardown, staged state cleared.
-  void finish_outgoing(uint64_t payload_bytes);
+  /// Shared success tail of every outgoing path: freeze-window and
+  /// payload metrics, the pre-copy teardown, the attempt cleared.
+  void finish_outgoing();
   /// Fresh nonzero attempt nonce (one 8-byte RNG draw).
   uint64_t draw_attempt_nonce();
   /// kSlotLive landing of a reserved attempt: records the live queue
@@ -390,12 +498,11 @@ class MigrationLibrary : private PersistSink {
   /// Restore-time rollback check: the hardware epoch counter must still
   /// hold the value this buffer was sealed under.
   Status check_epoch_guard() const;
-  /// Resets the per-attempt pre-copy state toward a (new) destination.
-  void reset_precopy(const std::string& destination_address);
-  /// Collects every chunk with generation > shipped generation; round 0
-  /// (`include_all_populated`) also collects clean chunks holding active
-  /// counters (e.g. restored state whose generations start at zero).
-  /// Effective values come from the hardware-value cache where warm.
+  /// Collects every chunk with generation > the attempt's shipped
+  /// generation; round 0 (`include_all_populated`) also collects clean
+  /// chunks holding active counters (e.g. restored state whose
+  /// generations start at zero).  Effective values come from the
+  /// hardware-value cache where warm.
   Result<std::vector<CounterChunk>> collect_dirty_chunks(
       bool include_all_populated);
   /// Manifest of everything shipped so far (staged chunks, latest gens).
@@ -421,31 +528,20 @@ class MigrationLibrary : private PersistSink {
   bool runtime_frozen_ = false;
   uint64_t la_session_id_ = 0;
   std::optional<net::SecureChannel> me_channel_;
-  std::optional<MigrationData> staged_outgoing_;
-  // Random identifier of the in-flight migration attempt, generated when
-  // the data is staged and re-sent verbatim on retries TOWARD THE SAME
-  // DESTINATION.  The ME stores it durably with the retained transfer,
-  // which makes the migrate request exactly-once (re-sends are
-  // deduplicated) and resumable (a nonce-scoped status query reveals
-  // whether a lost reply — or a restarted ME — actually accepted the
-  // transfer).  Re-routing to a different destination draws a FRESH
-  // nonce: a transfer that landed at the old destination must never be
-  // mistaken for success toward the new one.
-  uint64_t staged_nonce_ = 0;
-  std::string staged_destination_;
-  /// Serialized payload bytes of the queued (non-blocking) attempt, and
-  /// whether one is awaiting its poll verdict.  The policy is kept so an
-  /// internal re-enqueue (ME forgot the nonce) re-ships under the SAME
-  /// constraints the caller staged.
-  uint64_t enqueued_bytes_ = 0;
-  bool enqueue_pending_ = false;
-  MigrationPolicy staged_policy_;
+  std::optional<Attempt> attempt_;
+  // The destructive steps run once per library lifetime, whichever
+  // attempt or re-route reaches them.  The hardware counters are
+  // destroyed (full snapshot) or retired (pre-copy) once: a double
+  // destroy against a recycled id would hit someone else's counter.
   bool counters_destroyed_ = false;
-  // Set once the freeze flag has been durably persisted during an
-  // outgoing migration.  Kept separate from counters_destroyed_ so a
-  // retry after a failed persist still writes the flag (and a retry after
-  // a failed ME exchange never re-destroys hardware counters).
+  // Set once the freeze flag has been durably persisted.  Kept separate
+  // from counters_destroyed_ so a retry after a failed persist still
+  // writes the flag (and a retry after a failed ME exchange never
+  // re-destroys hardware counters).
   bool freeze_persisted_ = false;
+  // One epoch increment per outgoing pre-copy migration: like the counter
+  // destroys of the full-snapshot path, it must never run twice.
+  bool epoch_invalidated_ = false;
 
   // ----- pre-copy state -----
   bool live_transfer_capable_ = false;
@@ -455,28 +551,6 @@ class MigrationLibrary : private PersistSink {
   // noise next to the seal + OCALL the same mutation already pays).
   uint64_t mutation_generation_ = 0;
   std::array<uint64_t, kPrecopyChunkCount> chunk_generation_{};
-  // Per-attempt: what the destination already holds.
-  std::string precopy_destination_;
-  uint64_t precopy_nonce_ = 0;
-  std::array<uint64_t, kPrecopyChunkCount> shipped_generation_{};
-  // Everything shipped so far, merged — the re-route / incomplete-staging
-  // fallback re-ships this full set in one finalize.
-  std::map<uint32_t, CounterChunk> staged_chunks_;
-  // Final delta collected at freeze time (counter values become
-  // unreadable once the deferred destroys run, so finalize retries resend
-  // this cache instead of re-collecting).
-  std::vector<CounterChunk> final_chunks_;
-  uint32_t precopy_rounds_ = 0;
-  uint64_t precopy_bytes_ = 0;
-  bool finalize_staged_ = false;
-  // Set when an async source ME queued the staged finalize instead of
-  // shipping it inline (reply kMigrateQueued): the enclave stays frozen
-  // and the poll machinery owns the outcome — kAccepted runs
-  // finish_outgoing, kNone re-drives the finalize.
-  bool async_finalize_pending_ = false;
-  // One epoch increment per outgoing pre-copy migration: like the counter
-  // destroys of the full-snapshot path, it must never run twice.
-  bool epoch_invalidated_ = false;
   // chaos_disable_epoch_guard() drill: skip the epoch invalidation AND
   // the deferred counter retire so the fork oracle has a real fork to
   // catch.

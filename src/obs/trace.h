@@ -102,6 +102,10 @@ class TraceRecorder {
 
   /// Root span id registered for `trace_id`; 0 when none yet.
   uint64_t trace_root(uint64_t trace_id) const;
+  /// Every registered root: trace id -> root span id.
+  const std::map<uint64_t, uint64_t>& trace_roots() const {
+    return root_of_trace_;
+  }
   /// Ends the root span of `trace_id` no earlier than now and no earlier
   /// than any closed child (the "migration done" stamp).
   void end_trace_root(uint64_t trace_id);

@@ -221,11 +221,11 @@ bool Orchestrator::admit_and_start(Task& task) {
       task.source + " -> " + task.destination +
           (task.attempts > 0 ? " (retry)" : ""));
 
+  // A restore-only retry counts too, so a permanently failing restore
+  // cannot retry forever.
+  ++task.attempts;
   if (task.transfer_done) {
     // Source side done on a previous attempt; only the restore remains.
-    // Still counts against max_attempts so a permanently failing restore
-    // cannot retry forever.
-    ++task.attempts;
     if (lanes_ != nullptr) {
       // Pipelined: the restore runs on the destination lane in the
       // completion wave, overlapping with everything else.
@@ -237,82 +237,93 @@ bool Orchestrator::admit_and_start(Task& task) {
     return true;
   }
 
-  migration::MigratableEnclave* enclave = fleet_.enclave(task.enclave_id);
-  const EnclaveRecord* record = fleet_.find(task.enclave_id);
-  ++task.attempts;
-  if (lanes_ != nullptr) {
-    start_pipelined(task, *enclave, *record);
+  if (lanes_ == nullptr) {
+    // Blocking: the source side runs to its verdict inside this
+    // admission.  A start whose reply path died (source ME killed or
+    // restarted mid-exchange) resumes inside the library, which re-queries
+    // the fate of its attempt (nonce-scoped) from the ME's durable queue,
+    // so the retry machinery here never double-ships or burns attempts on
+    // an already-accepted transfer.
+    migration::MigrationStartResult result = source_step(task);
+    while (result.in_flight() &&
+           !fleet_.enclave(task.enclave_id)->transfer_enqueued()) {
+      result = source_step(task);  // the next pre-copy round
+    }
+    settle_source_step(task, result, now());
     return true;
   }
-  // A start whose reply path died (source ME killed or restarted
-  // mid-exchange) resumes inside migration_start itself: the library
-  // re-queries the fate of the staged attempt (nonce-scoped) from the
-  // ME's durable queue and reports success when the transfer landed, so
-  // the retry machinery here never double-ships or burns attempts on an
-  // already-accepted transfer.
-  const migration::MigrationStartResult result =
-      run_source_side(task, *enclave, *record);
-  if (!result.ok()) {
-    --inflight_total_;
-    --inflight_per_machine_[task.source];
-    release_destination(task.destination);
-    log(task, EventKind::kStartFailed,
-        std::string(migration::migration_failure_class_name(
-            result.failure_class)) +
-            ": " + result.message);
-    handle_failure(task, result.status, result.failure_class, result.message,
-                   /*destination_specific=*/true);
+  const Duration ready = std::max(next_slot_time(), task.retry_at);
+  if (precopy_capable(task) &&
+      !fleet_.enclave(task.enclave_id)->migration_frozen()) {
+    // Rounds advance one per wave, interleaved across tasks.
+    set_phase(task, TaskPhase::kPrecopying);
+    task.ready_at = ready;
     return true;
   }
-  set_phase(task, TaskPhase::kStarted);
-  task.freeze_window = enclave->last_freeze_window();
-  task.precopy_rounds = enclave->last_precopy_rounds();
-  task.transfer_bytes = enclave->last_transfer_bytes();
-  log(task, EventKind::kStartOk, task.destination);
+  run_source_step(task, ready);
   return true;
 }
 
-migration::MigrationStartResult Orchestrator::run_source_side(
-    Task& task, migration::MigratableEnclave& enclave,
-    const EnclaveRecord& record) {
-  if (options_.transfer_mode == TransferMode::kFullSnapshot ||
-      !enclave.live_transfer_capable()) {
-    return enclave.ecall_migration_start_detailed(task.destination,
-                                                  record.options.policy);
+bool Orchestrator::precopy_capable(const Task& task) const {
+  return options_.transfer_mode == TransferMode::kPrecopy &&
+         fleet_.enclave(task.enclave_id)->live_transfer_capable();
+}
+
+migration::MigrationStartResult Orchestrator::source_step(Task& task) {
+  migration::MigratableEnclave& enclave = *fleet_.enclave(task.enclave_id);
+  const migration::MigrationPolicy& policy =
+      fleet_.find(task.enclave_id)->options.policy;
+  if (task.phase == TaskPhase::kTransferring) {
+    return enclave.ecall_migration_poll_transfer();
   }
-  // A previous attempt may have frozen the library with the finalize
-  // staged (e.g. the accept reply AND the fallback status query were both
-  // lost to a dying ME): rounds are impossible — and unnecessary — once
-  // frozen, so resume the finalize directly.  It dedups by nonce at the
-  // ME and supports post-freeze re-routes, so a retried or re-targeted
-  // attempt lands exactly once.
-  if (enclave.migration_frozen()) {
-    return enclave.ecall_migration_finalize_detailed(task.destination,
-                                                     record.options.policy);
-  }
-  // Iterative pre-copy on the virtual clock: ship dirty rounds while the
-  // enclave keeps serving (the round hook is where live mutations land),
-  // then freeze for the final delta.  A failed round surfaces as a
-  // classified start failure so the existing retry/backoff/re-route
-  // machinery applies unchanged — the library's per-attempt state resumes
-  // rounds toward the same destination and restarts toward a new one.
-  while (true) {
-    auto round = enclave.ecall_migration_precopy_round(task.destination,
-                                                       record.options.policy);
-    if (!round.ok()) {
-      migration::MigrationStartResult failure;
-      failure.status = round.status();
-      failure.failure_class =
-          migration::classify_migration_failure(round.status());
-      failure.message = "pre-copy round: " +
-                        std::string(status_name(round.status()));
-      return failure;
+  if (precopy_capable(task)) {
+    // Iterative pre-copy on the virtual clock: ship dirty rounds while the
+    // enclave keeps serving (the round hook is where live mutations land),
+    // then freeze for the final delta.  Once frozen — converged, or a
+    // previous attempt froze with the finalize staged (e.g. the accept
+    // reply AND the fallback status query were both lost to a dying ME) —
+    // only the finalize remains; it dedups by nonce at the ME and
+    // supports post-freeze re-routes, so a retried or re-targeted attempt
+    // lands exactly once.
+    if (!enclave.migration_frozen()) {
+      auto round =
+          enclave.ecall_migration_precopy_round(task.destination, policy);
+      if (!round.ok()) {
+        // A classified start failure, so the retry/backoff/re-route
+        // machinery applies unchanged: the library's attempt resumes
+        // rounds toward the same destination and restarts toward a new
+        // one.
+        migration::MigrationStartResult failure;
+        failure.status = round.status();
+        failure.failure_class =
+            migration::classify_migration_failure(round.status());
+        failure.message = "pre-copy round: " +
+                          std::string(status_name(round.status()));
+        return failure;
+      }
+      if (round_hook_) round_hook_(task.enclave_id, round.value().round);
+      if (!round.value().converged(options_.precopy)) {
+        return migration::MigrationStartResult::pending("pre-copy round");
+      }
     }
-    if (round_hook_) round_hook_(task.enclave_id, round.value().round);
-    if (round.value().converged(options_.precopy)) break;
+    return enclave.ecall_migration_finalize_detailed(task.destination,
+                                                     policy);
   }
-  return enclave.ecall_migration_finalize_detailed(task.destination,
-                                                   record.options.policy);
+  if (lanes_ == nullptr) {
+    return enclave.ecall_migration_start_detailed(task.destination, policy);
+  }
+  // Pipelined full snapshot: non-blocking enqueue at the source ME; the
+  // transfer itself runs behind the pump, and polls learn its fate.
+  // Freeze-aware: reserve instead — the enclave keeps serving until the
+  // slot-live poll freezes it, so the freeze window no longer absorbs
+  // the queue wait.
+  const migration::MigrationStartResult queued =
+      options_.freeze_aware
+          ? enclave.ecall_migration_reserve_detailed(task.destination, policy)
+          : enclave.ecall_migration_enqueue_detailed(task.destination,
+                                                     policy);
+  return queued.ok() ? migration::MigrationStartResult::pending("queued")
+                     : queued;
 }
 
 // ----- pipelined engine -----
@@ -338,15 +349,43 @@ void Orchestrator::release_slot(Duration freed_at) {
                          freed_at);
 }
 
-void Orchestrator::pipelined_source_failure(
-    Task& task, const migration::MigrationStartResult& result,
-    Duration freed_at) {
+void Orchestrator::run_source_step(Task& task, Duration ready) {
+  migration::MigrationStartResult result;
+  const Duration end =
+      lanes_->run(task.source, ready, [&] { result = source_step(task); });
+  task.ready_at = end;
+  settle_source_step(task, result, end);
+}
+
+void Orchestrator::settle_source_step(
+    Task& task, const migration::MigrationStartResult& result, Duration end) {
+  migration::MigratableEnclave& enclave = *fleet_.enclave(task.enclave_id);
+  if (result.in_flight() && lanes_ != nullptr) {
+    // Pipelined: a queued request (enqueue, reserve, queued finalize) is
+    // polled each wave after the pump; a shipped round waits for the
+    // next wave's round.
+    const TaskPhase next = enclave.transfer_enqueued()
+                               ? TaskPhase::kTransferring
+                               : TaskPhase::kPrecopying;
+    if (task.phase != next) set_phase(task, next);
+    return;
+  }
+  if (result.ok()) {
+    mark_started(task, enclave, end);
+  } else {
+    source_failure(task, result, end);
+  }
+}
+
+void Orchestrator::source_failure(Task& task,
+                                  const migration::MigrationStartResult& result,
+                                  Duration freed_at) {
   --inflight_total_;
   --inflight_per_machine_[task.source];
   release_destination(task.destination);
-  // The failing task's slot frees at the lane instant the failure was
-  // observed, not at some unrelated restore's completion.
-  release_slot(freed_at);
+  // Pipelined: the failing task's slot frees at the lane instant the
+  // failure was observed, not at some unrelated restore's completion.
+  if (lanes_ != nullptr) release_slot(freed_at);
   log(task, EventKind::kStartFailed,
       std::string(
           migration::migration_failure_class_name(result.failure_class)) +
@@ -365,123 +404,6 @@ void Orchestrator::mark_started(Task& task,
   task.precopy_rounds = enclave.last_precopy_rounds();
   task.transfer_bytes = enclave.last_transfer_bytes();
   log(task, EventKind::kStartOk, task.destination);
-}
-
-void Orchestrator::start_pipelined(Task& task,
-                                   migration::MigratableEnclave& enclave,
-                                   const EnclaveRecord& record) {
-  const Duration ready = std::max(next_slot_time(), task.retry_at);
-  const bool precopy = options_.transfer_mode == TransferMode::kPrecopy &&
-                       enclave.live_transfer_capable();
-  if (precopy) {
-    if (enclave.migration_frozen()) {
-      // Frozen with the finalize staged (lost accept reply): resume the
-      // finalize directly — rounds are impossible and unnecessary.
-      migration::MigrationStartResult result;
-      const Duration end = lanes_->run(task.source, ready, [&] {
-        result = enclave.ecall_migration_finalize_detailed(
-            task.destination, record.options.policy);
-      });
-      task.ready_at = end;
-      if (result.status == Status::kMigrationInProgress &&
-          result.failure_class == migration::MigrationFailureClass::kNone) {
-        // Async source ME queued the re-driven finalize too.
-        set_phase(task, TaskPhase::kTransferring);
-      } else if (result.ok()) {
-        mark_started(task, enclave, end);
-      } else {
-        pipelined_source_failure(task, result, end);
-      }
-      return;
-    }
-    set_phase(task, TaskPhase::kPrecopying);
-    task.ready_at = ready;
-    return;  // rounds advance one per wave, interleaved across tasks
-  }
-  // Full snapshot: non-blocking enqueue at the source ME; the transfer
-  // itself runs behind the pump, and poll_transferring learns its fate.
-  // Freeze-aware: reserve instead — the enclave keeps serving until the
-  // slot-live poll freezes it, so the freeze window no longer absorbs
-  // the queue wait.
-  migration::MigrationStartResult result;
-  const Duration end = lanes_->run(task.source, ready, [&] {
-    result = options_.freeze_aware
-                 ? enclave.ecall_migration_reserve_detailed(
-                       task.destination, record.options.policy)
-                 : enclave.ecall_migration_enqueue_detailed(
-                       task.destination, record.options.policy);
-  });
-  if (!result.ok()) {
-    pipelined_source_failure(task, result, end);
-    return;
-  }
-  set_phase(task, TaskPhase::kTransferring);
-  task.ready_at = end;
-}
-
-void Orchestrator::poll_transferring(Task& task) {
-  migration::MigratableEnclave* enclave = fleet_.enclave(task.enclave_id);
-  migration::MigrationStartResult result;
-  const Duration end =
-      lanes_->run(task.source, std::max(task.ready_at, lanes_->control()),
-                  [&] { result = enclave->ecall_migration_poll_transfer(); });
-  task.ready_at = end;
-  if (result.status == Status::kMigrationInProgress &&
-      result.failure_class == migration::MigrationFailureClass::kNone) {
-    return;  // still in flight; pump and poll again next wave
-  }
-  if (result.ok()) {
-    mark_started(task, *enclave, end);
-    return;
-  }
-  pipelined_source_failure(task, result, end);
-}
-
-void Orchestrator::advance_precopy(Task& task) {
-  migration::MigratableEnclave* enclave = fleet_.enclave(task.enclave_id);
-  const EnclaveRecord* record = fleet_.find(task.enclave_id);
-  migration::MigrationStartResult result;
-  bool terminal = false;
-  const Duration end = lanes_->run(
-      task.source, std::max(task.ready_at, lanes_->control()), [&] {
-        if (enclave->migration_frozen()) {
-          result = enclave->ecall_migration_finalize_detailed(
-              task.destination, record->options.policy);
-          terminal = true;
-          return;
-        }
-        auto round = enclave->ecall_migration_precopy_round(
-            task.destination, record->options.policy);
-        if (!round.ok()) {
-          result.status = round.status();
-          result.failure_class =
-              migration::classify_migration_failure(round.status());
-          result.message = "pre-copy round: " +
-                           std::string(status_name(round.status()));
-          terminal = true;
-          return;
-        }
-        if (round_hook_) round_hook_(task.enclave_id, round.value().round);
-        if (round.value().converged(options_.precopy)) {
-          result = enclave->ecall_migration_finalize_detailed(
-              task.destination, record->options.policy);
-          terminal = true;
-        }
-      });
-  task.ready_at = end;
-  if (!terminal) return;  // next round next wave
-  if (result.status == Status::kMigrationInProgress &&
-      result.failure_class == migration::MigrationFailureClass::kNone) {
-    // Async source ME queued the finalize: the record ships behind the
-    // pump and the poll machinery owns the outcome from here.
-    set_phase(task, TaskPhase::kTransferring);
-    return;
-  }
-  if (result.ok()) {
-    mark_started(task, *enclave, end);
-  } else {
-    pipelined_source_failure(task, result, end);
-  }
 }
 
 void Orchestrator::complete(Task& task) {
@@ -681,7 +603,7 @@ void Orchestrator::run_event_loop(net::Network& net) {
         Task& task = tasks_[idx];
         if (task.phase != TaskPhase::kPrecopying) continue;
         ++stats_.task_touches;
-        advance_precopy(task);
+        run_source_step(task, std::max(task.ready_at, lanes_->control()));
         progressed = true;
       }
       snapshot.assign(transferring_.begin(), transferring_.end());
@@ -689,7 +611,7 @@ void Orchestrator::run_event_loop(net::Network& net) {
         Task& task = tasks_[idx];
         if (task.phase != TaskPhase::kTransferring) continue;
         ++stats_.task_touches;
-        poll_transferring(task);
+        run_source_step(task, std::max(task.ready_at, lanes_->control()));
         if (task.phase != TaskPhase::kTransferring) progressed = true;
       }
     }

@@ -195,27 +195,28 @@ class Orchestrator {
 
   std::vector<Task> build_tasks(const Plan& plan);
   bool admit_and_start(Task& task);  // false = task could not be admitted
-  /// Drives the source side under the configured transfer mode: one
-  /// migration_start, or pre-copy rounds to convergence + finalize.
-  migration::MigrationStartResult run_source_side(
-      Task& task, migration::MigratableEnclave& enclave,
-      const EnclaveRecord& record);
+  /// Pre-copy applies: the mode asks for it and the enclave can.
+  bool precopy_capable(const Task& task) const;
+  /// One step of the task's source side, the single per-attempt
+  /// decision: poll a queued request; otherwise finalize if frozen, else
+  /// ship one pre-copy round (finalizing once converged); otherwise
+  /// start (blocking) or enqueue/reserve (pipelined).  In flight = not
+  /// decided yet: step again (after the pump when a request is queued).
+  migration::MigrationStartResult source_step(Task& task);
   void complete(Task& task);
   // ----- pipelined engine -----
-  /// Pipelined source-side admission: enqueue (or begin pre-copy / resume
-  /// a frozen finalize) on the source machine's lane.
-  void start_pipelined(Task& task, migration::MigratableEnclave& enclave,
-                       const EnclaveRecord& record);
-  /// Polls a kTransferring task's fate at its source ME.
-  void poll_transferring(Task& task);
-  /// Ships one pre-copy round (or the finalize, once converged/frozen)
-  /// for a kPrecopying task.
-  void advance_precopy(Task& task);
-  /// Shared failure path of the pipelined source side; `freed_at` is the
-  /// lane instant the failure was observed (when the slot frees).
-  void pipelined_source_failure(Task& task,
-                                const migration::MigrationStartResult& result,
-                                Duration freed_at);
+  /// Runs one source_step on the source machine's lane from `ready`.
+  void run_source_step(Task& task, Duration ready);
+  /// Applies a source_step verdict observed at `end`: in flight
+  /// (pipelined) picks kTransferring or kPrecopying, ok marks the task
+  /// started, anything else is a source failure.
+  void settle_source_step(Task& task,
+                          const migration::MigrationStartResult& result,
+                          Duration end);
+  /// Shared failure path of the source side; `freed_at` is the lane
+  /// instant the failure was observed (when a pipelined slot frees).
+  void source_failure(Task& task, const migration::MigrationStartResult& result,
+                      Duration freed_at);
   /// Records when an in-flight slot freed (sorted insert).
   void release_slot(Duration freed_at);
   void mark_started(Task& task, migration::MigratableEnclave& enclave,

@@ -5,9 +5,10 @@
 // parser, OrchestratorReport::to_json(include_events) surviving hostile
 // event strings, one span tree per migration stitched ACROSS a source-ME
 // crash/restart, the blocking start's step-machine instants inside its
-// one span tree, and a traced orchestrated drain whose virtual wall time
-// is bit-identical to its untraced twin (the zero-overhead-when-off
-// property).  The drain test also writes TRACE_obs_drain.json +
+// one span tree, a traced orchestrated drain whose virtual wall time is
+// bit-identical to its untraced twin (the zero-overhead-when-off
+// property), and a freeze-aware drain keying every trace root by its own
+// attempt nonce.  The drain test also writes TRACE_obs_drain.json +
 // TRACE_REPORT_obs_drain.json so CI jobs without the bench binaries can
 // still gate on scripts/trace_check.py.
 #include <gtest/gtest.h>
@@ -546,6 +547,44 @@ TEST(ObsDrain, TracedDrainIsVirtualTimeIdenticalAndEmitsArtifacts) {
   ASSERT_TRUE(write_text_file("TRACE_obs_drain.json", traced.trace_json));
   ASSERT_TRUE(write_text_file("TRACE_REPORT_obs_drain.json",
                               traced.report.to_json(/*include_events=*/true)));
+}
+
+TEST(ObsDrain, FreezeAwareDrainRegistersOneRootPerAttemptNonce) {
+  // Freeze-aware attempts reserve under one nonce and freeze + arm under
+  // the same one: every registered root is the span of its own trace id
+  // (no entry left keyed by a nonce the tree does not carry).
+  World world(/*seed=*/4343);
+  world.install_management_enclaves(
+      migration::durable_me_factory(world.provider()));
+  for (int i = 0; i < 3; ++i) world.add_machine("m" + std::to_string(i));
+  world.observability().set_enabled(true);
+  orchestrator::FleetRegistry fleet(world);
+  for (int i = 0; i < 6; ++i) {
+    const std::string name = "obs-reserve-" + std::to_string(i);
+    const uint64_t id =
+        fleet.launch("m0", name, EnclaveImage::create(name, 1, "obs"))
+            .value();
+    auto* enclave = fleet.enclave(id);
+    enclave->ecall_increment_migratable_counter(
+        enclave->ecall_create_migratable_counter().value().counter_id);
+  }
+  orchestrator::Scheduler scheduler(fleet);
+  orchestrator::OrchestratorOptions options;
+  options.pipelined = true;
+  options.freeze_aware = true;
+  orchestrator::Orchestrator orch(fleet, scheduler, options);
+  const auto report = orch.execute(orchestrator::Plan::drain("m0"));
+  ASSERT_EQ(report.succeeded(), 6u);
+
+  const obs::TraceRecorder& trace = world.observability().trace;
+  size_t migration_roots = 0;
+  for (const auto& [trace_id, span_id] : trace.trace_roots()) {
+    const obs::TraceSpan* root = trace.find_span(span_id);
+    ASSERT_NE(root, nullptr);
+    EXPECT_EQ(root->trace_id, trace_id) << root->name;
+    migration_roots += root->name == "migration" ? 1 : 0;
+  }
+  EXPECT_EQ(migration_roots, 6u);
 }
 
 }  // namespace

@@ -10,8 +10,9 @@
 // attests only with the policy of the library's next round, and an
 // asynchronous round hears a failed attest on the next round.
 // Also covers the pending-entry reconciliation sweep (lost-ACCEPTED
-// re-route orphan) and the orchestrated 32-enclave pre-copy drain
-// through ME restarts.
+// re-route orphan), the attempt-status query and the orchestrator's
+// resume (blocking and pipelined) of a finalize frozen by lost replies,
+// and the orchestrated 32-enclave pre-copy drain through ME restarts.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -603,7 +604,45 @@ TEST_F(PrecopyTest, ReconcileSweepExpiresOrphanAndUnblocksDestination) {
   EXPECT_EQ(back->active_counters(), 1u);
 }
 
-TEST_F(PrecopyTest, OrchestratorResumesFrozenFinalizeOnRetry) {
+// Drops every reply out of m0's ME once a destination holds the finalize
+// (the accept AND the fallback nonce queries are lost) while `armed`.
+void black_hole_source_me_after_finalize(World& world, bool& armed,
+                                         const MigrationEnclave* m1,
+                                         const MigrationEnclave* m2) {
+  world.network().set_response_tamper_hook(
+      [&armed, m1, m2](const std::string& to, Bytes&) {
+        if (!armed || to != "m0/me") return true;
+        return m1->pending_incoming_count() + m2->pending_incoming_count() ==
+               0;
+      });
+}
+
+TEST_F(PrecopyTest, StagedAttemptStatusSeesFrozenFinalize) {
+  // A synchronous finalize is PROCESSED (destination pending, source ME
+  // retained) but every reply is lost: the library stays frozen with the
+  // finalize staged.  The attempt-status query answers for the
+  // finalize's nonce — pending at the source ME — not "nothing staged".
+  auto enclave = start_new(m0_);
+  ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  bool armed = true;
+  black_hole_source_me_after_finalize(world_, armed, me("m1"), me("m2"));
+  EXPECT_FALSE(enclave->ecall_migration_finalize_detailed("m1").ok());
+  armed = false;
+  world_.network().clear_response_tamper_hook();
+  ASSERT_TRUE(enclave->migration_frozen());
+  ASSERT_EQ(me("m1")->pending_incoming_count(), 1u);
+  const auto status = enclave->ecall_query_staged_attempt_status();
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value(), OutgoingState::kPending);
+}
+
+// The frozen-finalize resume runs on both source engines: blocking, and
+// pipelined against an asynchronous source ME.
+class PrecopyEngineTest : public PrecopyTest,
+                          public ::testing::WithParamInterface<bool> {};
+
+TEST_P(PrecopyEngineTest, OrchestratorResumesFrozenFinalizeOnRetry) {
   // The finalize is PROCESSED end to end (destination pending, source ME
   // retained) but the source ME then goes black for the library: the
   // accept reply AND the fallback nonce queries are all lost, so the
@@ -611,6 +650,8 @@ TEST_F(PrecopyTest, OrchestratorResumesFrozenFinalizeOnRetry) {
   // staged.  The orchestrator's retry must resume the finalize directly —
   // pre-copy rounds are impossible once frozen — and land it exactly
   // once via the ME's nonce dedup.
+  const bool pipelined = GetParam();
+  if (pipelined) me("m0")->set_async_precopy(true);
   orchestrator::FleetRegistry fleet(world_);
   orchestrator::LaunchOptions launch;
   launch.live_transfer = true;
@@ -621,18 +662,14 @@ TEST_F(PrecopyTest, OrchestratorResumesFrozenFinalizeOnRetry) {
       enclave->ecall_create_migratable_counter().value().counter_id);
 
   bool black_hole_armed = true;
-  world_.network().set_response_tamper_hook(
-      [this, &black_hole_armed](const std::string& to, Bytes&) {
-        if (!black_hole_armed || to != "m0/me") return true;
-        return me("m1")->pending_incoming_count() +
-                   me("m2")->pending_incoming_count() ==
-               0;
-      });
+  black_hole_source_me_after_finalize(world_, black_hole_armed, me("m1"),
+                                      me("m2"));
 
   orchestrator::Scheduler scheduler(fleet);
   orchestrator::OrchestratorOptions options;
   options.max_attempts = 4;
   options.transfer_mode = orchestrator::TransferMode::kPrecopy;
+  options.pipelined = pipelined;
   orchestrator::Orchestrator orch(fleet, scheduler, options);
   orch.set_wave_hook([&black_hole_armed](uint32_t wave) {
     if (wave >= 2) black_hole_armed = false;  // the ME "comes back"
@@ -647,6 +684,11 @@ TEST_F(PrecopyTest, OrchestratorResumesFrozenFinalizeOnRetry) {
   EXPECT_EQ(fleet.count_on("m0"), 0u);
   EXPECT_EQ(fleet.enclave(id)->ecall_read_migratable_counter(0).value(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, PrecopyEngineTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& engine) {
+                           return engine.param ? "Pipelined" : "Blocking";
+                         });
 
 // ----- orchestrated pre-copy drain through ME restarts -----
 
