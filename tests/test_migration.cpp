@@ -842,6 +842,55 @@ m1/me precopy-finalize 315
 )");
 }
 
+TEST_F(LibraryWire, AsyncFinalizeAnsweredPrecopyIncomplete) {
+  me("m0")->set_async_precopy(true);
+  auto enclave = start_app(/*live_transfer=*/true, 20);
+  ASSERT_TRUE(enclave->ecall_migration_precopy_round("m1").ok());
+  me("m0")->pump();
+  world_.network().pump_all();
+  ASSERT_TRUE(enclave->ecall_increment_migratable_counter(3).ok());
+  // The queued twin of FinalizeAnsweredPrecopyIncomplete: both sides
+  // lose the round, the finalize is queued and the library polls.
+  m0_.kill_management_enclave();
+  m0_.storage().remove("m0.me-queue#0");
+  m0_.storage().remove("m0.me-queue#1");
+  ASSERT_TRUE(m0_.restart_management_enclave());
+  me("m0")->set_async_precopy(true);
+  me("m1")->set_precopy_staging_max_age(Duration::zero());
+  EXPECT_EQ(me("m1")->sweep_stale_precopy_staging(), 1u);
+  me("m1")->set_precopy_staging_max_age(Duration::max());
+  take();
+  const auto queued = enclave->ecall_migration_finalize_detailed("m1");
+  EXPECT_TRUE(in_flight(queued)) << queued.message;
+  // The poll reads the dropped finalize as lost; the re-drive hears the
+  // held kPrecopyIncomplete and re-ships the library's staged set.
+  const auto lost = pump_and_poll(*enclave);
+  EXPECT_EQ(lost.status, Status::kServiceUnavailable) << lost.message;
+  const auto again = enclave->ecall_migration_finalize_detailed("m1");
+  EXPECT_TRUE(in_flight(again)) << again.message;
+  ASSERT_TRUE(pump_and_poll(*enclave).ok());
+  EXPECT_EQ(take(), R"(m0/me la-record 212
+m0/me la-start 13
+m0/me la-msg2 197
+m0/me la-record 212
+m1/me ra-msg1 45
+m1/me ra-msg3 505
+m1/me precopy-finalize 223
+m0/me la-record 50
+m1/me session-resume 59
+m1/me precopy-finalize 223
+m0/me la-record 50
+m1/me session-resume 59
+m1/me precopy-finalize 223
+m0/me la-record 50
+m0/me la-record 212
+m0/me la-record 304
+m1/me session-resume 59
+m1/me precopy-finalize 315
+m0/me la-record 50
+)");
+}
+
 TEST_F(LibraryWire, LostReplyResumesViaNonceQuery) {
   auto enclave = start_app(/*live_transfer=*/false, 3);
   bool dropped = false;

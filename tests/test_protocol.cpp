@@ -3,7 +3,24 @@
 // trailing-garbage encodings — the parsing layer faces the raw network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <optional>
+#include <set>
+
+#include "crypto/sha256.h"
+#include "migration/library_state.h"
+#include "migration/migratable_enclave.h"
+#include "migration/migration_enclave.h"
 #include "migration/protocol.h"
+#include "net/channel.h"
+#include "platform/world.h"
+#include "sgx/dh.h"
+#include "sgx/ias.h"
+#include "sgx/pse_wire.h"
+#include "sgx/remote_attestation.h"
 #include "support/rng.h"
 
 namespace sgxmig::migration {
@@ -317,54 +334,769 @@ TEST(ProtocolSerde, ProviderAuthMessageBindsTranscript) {
   EXPECT_NE(provider_auth_message(t1), provider_auth_message(t2));
 }
 
+// ----- WireGolden: the bytes of every wire and durable format, frozen -----
+//
+// Round trips cannot see a change made to both halves of a codec; these
+// hashes can.  Every row encodes one fixed sample value; the scenario
+// tests pin a sealed ME queue with every section populated, a sealed
+// Table II buffer and a decoded v1 buffer.  A new record lands with a
+// row here (simlint `protocol-record-golden` checks the protocol.h side).
+
+template <size_t N>
+std::array<uint8_t, N> pattern(uint8_t seed) {
+  std::array<uint8_t, N> a{};
+  for (size_t i = 0; i < N; ++i) a[i] = static_cast<uint8_t>(seed + 7 * i);
+  return a;
+}
+
+MigrationPolicy sample_policy() {
+  MigrationPolicy policy;
+  policy.allowed_regions = {"eu-central", "eu-west"};
+  policy.denied_addresses = {"m13"};
+  policy.min_cpu_cores = 8;
+  return policy;
+}
+
+MigrationData sample_data() {
+  MigrationData data;
+  data.counters_active[0] = true;
+  data.counters_active[17] = true;
+  data.counter_values[0] = 5;
+  data.counter_values[17] = 0x01020304;
+  data.msk = pattern<16>(0x40);
+  return data;
+}
+
+CounterChunk sample_chunk(uint32_t index) {
+  CounterChunk chunk;
+  chunk.index = index;
+  chunk.generation = 100 + index;
+  chunk.active[1] = true;
+  chunk.values[1] = 77 + index;
+  chunk.values[2] = 9;  // inactive slots still travel
+  return chunk;
+}
+
+platform::MachineCredential sample_credential() {
+  platform::MachineCredential credential;
+  credential.address = "m9";
+  credential.region = "eu-west";
+  credential.cpu_cores = 48;
+  credential.machine_public_key = pattern<32>(0x10);
+  credential.signature = pattern<64>(0x20);
+  return credential;
+}
+
+ProviderAuth sample_auth() {
+  ProviderAuth auth;
+  auth.credential = sample_credential();
+  auth.transcript_signature = pattern<64>(0x30);
+  return auth;
+}
+
+sgx::ReportBody sample_report_body() {
+  sgx::ReportBody body;
+  body.identity.mr_enclave = pattern<32>(1);
+  body.identity.mr_signer = pattern<32>(2);
+  body.identity.isv_prod_id = 0x8086;
+  body.identity.isv_svn = 3;
+  body.report_data = pattern<64>(4);
+  return body;
+}
+
+sgx::Quote sample_quote() {
+  sgx::Quote quote;
+  quote.body = sample_report_body();
+  quote.credential.group_id = 0x0b0b0001;
+  quote.credential.member_public_key = pattern<32>(5);
+  quote.credential.membership_certificate = pattern<64>(6);
+  quote.signature = pattern<64>(7);
+  return quote;
+}
+
+sgx::CounterUuid sample_uuid() {
+  sgx::CounterUuid uuid;
+  uuid.counter_id = 42;
+  uuid.nonce = pattern<12>(8);
+  return uuid;
+}
+
+struct WireRow {
+  std::string name;
+  Bytes encoding;
+  /// Decodes and re-encodes; nullopt when the decoder rejects the input.
+  std::function<std::optional<Bytes>(ByteView)> reencode;
+  /// False for formats with bool fields: any non-zero byte decodes as
+  /// true, so only a decode -> encode fixed point is expected, not the
+  /// input bytes back.
+  bool canonical = true;
+  /// Proper prefixes of `encoding` that are legal encodings themselves.
+  std::vector<size_t> legal_prefixes;
+};
+
+template <class T>
+WireRow record_row(std::string name, const T& sample, bool canonical = true,
+                   std::vector<size_t> legal_prefixes = {}) {
+  return {std::move(name), sample.serialize(),
+          [](ByteView bytes) -> std::optional<Bytes> {
+            auto decoded = T::deserialize(bytes);
+            if (!decoded.ok()) return std::nullopt;
+            return decoded.value().serialize();
+          },
+          canonical,
+          std::move(legal_prefixes)};
+}
+
+// Formats whose codec is a writer/reader pair without a ByteView entry
+// point: the row frames one value and demands the whole input be used.
+template <class T, class Write, class Read>
+WireRow framed_row(std::string name, const T& sample, Write write, Read read,
+                   bool canonical = true) {
+  BinaryWriter w;
+  write(w, sample);
+  return {std::move(name), w.take(),
+          [write, read](ByteView bytes) -> std::optional<Bytes> {
+            BinaryReader r(bytes);
+            std::optional<T> value = read(r);
+            if (!value.has_value() || !r.done()) return std::nullopt;
+            BinaryWriter out;
+            write(out, *value);
+            return out.take();
+          },
+          canonical,
+          {}};
+}
+
+std::vector<WireRow> wire_golden_table() {
+  std::vector<WireRow> rows;
+  MeRequest me_request;
+  me_request.type = MeMsgType::kPrecopyFinalize;
+  me_request.id = 0x0123456789abcdefULL;
+  me_request.payload = to_bytes(std::string_view("sealed record"));
+  rows.push_back(record_row("MeRequest", me_request));
+
+  MeResponse me_response;
+  me_response.status = Status::kPolicyViolation;
+  me_response.payload = to_bytes(std::string_view("reply"));
+  rows.push_back(record_row("MeResponse", me_response));
+
+  LibMsg lib_msg;
+  lib_msg.type = LibMsgType::kTransferProgress;
+  lib_msg.status = Status::kMigrationInProgress;
+  lib_msg.payload = to_bytes(std::string_view("inner"));
+  rows.push_back(record_row("LibMsg", lib_msg));
+
+  MigrateRequestPayload migrate;
+  migrate.destination_address = "m1";
+  migrate.request_nonce = 0x1111;
+  migrate.policy = sample_policy();
+  migrate.data = sample_data();
+  rows.push_back(record_row("MigrateRequestPayload", migrate, false));
+
+  MigrateReservePayload reserve;
+  reserve.destination_address = "m2";
+  reserve.request_nonce = 0x2222;
+  reserve.policy = sample_policy();
+  rows.push_back(record_row("MigrateReservePayload", reserve));
+
+  PollTransferPayload poll;
+  poll.request_nonce = 0x3333;
+  rows.push_back(record_row("PollTransferPayload", poll));
+
+  TransferProgressPayload progress;
+  progress.progress = TransferProgress::kFailed;
+  progress.failure = Status::kPolicyViolation;
+  rows.push_back(record_row("TransferProgressPayload", progress));
+
+  AbortStalePayload stale;
+  stale.request_nonce = 0x4444;
+  stale.destination_address = "m3";
+  rows.push_back(record_row("AbortStalePayload", stale));
+
+  AbortRequest abort_request;
+  abort_request.source_mr_enclave = pattern<32>(0x50);
+  abort_request.request_nonce = 0x5555;
+  rows.push_back(record_row("AbortRequest", abort_request));
+
+  QueryStatusPayload query;
+  query.request_nonce = 0x6666;
+  // An empty query is the per-identity status query.
+  rows.push_back(record_row("QueryStatusPayload", query, true, {0}));
+
+  rows.push_back(framed_row(
+      "CounterChunk", sample_chunk(3),
+      [](BinaryWriter& w, const CounterChunk& c) { c.serialize(w); },
+      [](BinaryReader& r) -> std::optional<CounterChunk> {
+        auto c = CounterChunk::deserialize(r);
+        if (!c.ok()) return std::nullopt;
+        return c.value();
+      },
+      false));
+
+  rows.push_back(framed_row(
+      "ChunkManifestEntry", ChunkManifestEntry{7, 0x77},
+      [](BinaryWriter& w, const ChunkManifestEntry& e) {
+        w.u32(e.index);
+        w.u64(e.generation);
+      },
+      [](BinaryReader& r) -> std::optional<ChunkManifestEntry> {
+        ChunkManifestEntry e;
+        e.index = r.u32();
+        e.generation = r.u64();
+        if (e.index >= kPrecopyChunkCount) return std::nullopt;
+        return e;
+      }));
+
+  PrecopyRoundPayload round;
+  round.destination_address = "m4";
+  round.request_nonce = 0x7777;
+  round.round = 2;
+  round.policy = sample_policy();
+  round.chunks = {sample_chunk(0), sample_chunk(5)};
+  rows.push_back(record_row("PrecopyRoundPayload", round, false));
+
+  PrecopyFinalizePayload finalize;
+  finalize.destination_address = "m4";
+  finalize.request_nonce = 0x7777;
+  finalize.round = 3;
+  finalize.policy = sample_policy();
+  finalize.chunks = {sample_chunk(5)};
+  finalize.manifest = {{0, 100}, {5, 105}};
+  finalize.msk = pattern<16>(0x60);
+  rows.push_back(record_row("PrecopyFinalizePayload", finalize, false));
+
+  PrecopyChunkRecord chunk_record;
+  chunk_record.source_mr_enclave = pattern<32>(0x70);
+  chunk_record.source_me_address = "m0";
+  chunk_record.request_nonce = 0x8888;
+  chunk_record.round = 1;
+  chunk_record.chunks = {sample_chunk(1)};
+  rows.push_back(record_row("PrecopyChunkRecord", chunk_record, false));
+
+  PrecopyFinalizeRecord finalize_record;
+  finalize_record.source_mr_enclave = pattern<32>(0x71);
+  finalize_record.source_me_address = "m0";
+  finalize_record.request_nonce = 0x8888;
+  finalize_record.round = 4;
+  finalize_record.chunks = {sample_chunk(2), sample_chunk(15)};
+  finalize_record.manifest = {{2, 102}, {15, 115}};
+  finalize_record.msk = pattern<16>(0x61);
+  rows.push_back(record_row("PrecopyFinalizeRecord", finalize_record, false));
+
+  ReconcileQuery reconcile;
+  reconcile.source_mr_enclave = pattern<32>(0x72);
+  reconcile.request_nonce = 0x9999;
+  rows.push_back(record_row("ReconcileQuery", reconcile));
+
+  TransferPayload transfer;
+  transfer.source_mr_enclave = pattern<32>(0x73);
+  transfer.source_me_address = "m0";
+  transfer.request_nonce = 0xaaaa;
+  transfer.data = sample_data();
+  rows.push_back(record_row("TransferPayload", transfer, false));
+
+  SessionResumeRequest resume;
+  resume.initiator_address = "m5";
+  resume.responder_epoch = 0xabcdef;
+  resume.nonce = pattern<16>(0x74);
+  resume.mac = pattern<16>(0x75);
+  rows.push_back(record_row("SessionResumeRequest", resume));
+
+  SessionResumeReply resume_reply;
+  resume_reply.nonce = pattern<16>(0x76);
+  resume_reply.mac = pattern<16>(0x77);
+  rows.push_back(record_row("SessionResumeReply", resume_reply));
+
+  rows.push_back(record_row("ProviderAuth", sample_auth()));
+
+  rows.push_back(framed_row(
+      "MachineCredential", sample_credential(),
+      [](BinaryWriter& w, const platform::MachineCredential& c) {
+        c.serialize(w);
+      },
+      [](BinaryReader& r) -> std::optional<platform::MachineCredential> {
+        return platform::MachineCredential::deserialize(r);
+      }));
+
+  rows.push_back(framed_row(
+      "MigrationPolicy", sample_policy(),
+      [](BinaryWriter& w, const MigrationPolicy& p) { p.serialize(w); },
+      [](BinaryReader& r) -> std::optional<MigrationPolicy> {
+        auto p = MigrationPolicy::deserialize(r);
+        if (!p.ok()) return std::nullopt;
+        return p.value();
+      }));
+
+  // Ad-hoc payloads: the byte layouts the ME and the library exchange
+  // inside LA and RA records.
+  {
+    BinaryWriter w;  // fetch reply: data, delivery token, attempt nonce
+    w.bytes(sample_data().serialize());
+    w.u64(0xbbbb);
+    w.u64(0xcccc);
+    WireRow row{"FetchReply", w.take(),
+                [](ByteView bytes) -> std::optional<Bytes> {
+                  BinaryReader r(bytes);
+                  const Bytes data = r.bytes(1u << 20);
+                  const uint64_t token = r.u64();
+                  const uint64_t nonce = r.done() ? 0 : r.u64();
+                  if (!r.done()) return std::nullopt;
+                  auto parsed = MigrationData::deserialize(data);
+                  if (!parsed.ok()) return std::nullopt;
+                  BinaryWriter out;
+                  out.bytes(parsed.value().serialize());
+                  out.u64(token);
+                  out.u64(nonce);
+                  return out.take();
+                },
+                false,
+                // Older readers tolerate an absent attempt nonce.
+                {sample_data().serialize().size() + 4 + 8}};
+    rows.push_back(std::move(row));
+  }
+  {
+    BinaryWriter w;  // confirm: the delivery token
+    w.u64(0xdddd);
+    rows.push_back({"ConfirmPayload", w.take(),
+                    [](ByteView bytes) -> std::optional<Bytes> {
+                      BinaryWriter out;
+                      if (bytes.empty()) return out.take();
+                      BinaryReader r(bytes);
+                      const uint64_t token = r.u64();
+                      if (!r.done()) return std::nullopt;
+                      out.u64(token);
+                      return out.take();
+                    },
+                    true,
+                    // An empty confirm is the session-pinned confirm.
+                    {0}});
+  }
+  {
+    BinaryWriter w;  // status report: one OutgoingState byte
+    w.u8(static_cast<uint8_t>(OutgoingState::kPending));
+    rows.push_back({"StatusReport", w.take(),
+                    [](ByteView bytes) -> std::optional<Bytes> {
+                      BinaryReader r(bytes);
+                      const uint8_t state = r.u8();
+                      if (!r.done() || state > 2) return std::nullopt;
+                      BinaryWriter out;
+                      out.u8(state);
+                      return out.take();
+                    },
+                    true,
+                    {}});
+  }
+  const auto marked_row = [](std::string name, const char* marker,
+                             bool id_is_u64, uint64_t value,
+                             uint8_t max_verdict) {
+    BinaryWriter w;
+    w.str(marker);
+    if (id_is_u64) {
+      w.u64(value);
+    } else {
+      w.u8(static_cast<uint8_t>(value));
+    }
+    return WireRow{
+        std::move(name), w.take(),
+        [marker, id_is_u64, max_verdict](ByteView bytes)
+            -> std::optional<Bytes> {
+          BinaryReader r(bytes);
+          const std::string got = r.str(64);
+          const uint64_t v = id_is_u64 ? r.u64() : r.u8();
+          if (!r.done() || got != marker) return std::nullopt;
+          if (!id_is_u64 && v > max_verdict) return std::nullopt;
+          BinaryWriter out;
+          out.str(got);
+          if (id_is_u64) {
+            out.u64(v);
+          } else {
+            out.u8(static_cast<uint8_t>(v));
+          }
+          return out.take();
+        },
+        true,
+        {}};
+  };
+  rows.push_back(marked_row("DoneRecord", "SGXMIG-DONE", true, 0xeeee, 0));
+  rows.push_back(marked_row("AbortVerdict", "SGXMIG-ABORT", false, 1, 1));
+  rows.push_back(marked_row("ReconcileVerdictRecord", "SGXMIG-RECON", false,
+                            static_cast<uint8_t>(ReconcileVerdict::kSuperseded),
+                            1));
+  {
+    sgx::RaMsg3 msg3;
+    msg3.initiator_quote = sample_quote().serialize();
+    BinaryWriter w;  // RA msg3 + the initiator's provider auth
+    w.bytes(msg3.serialize());
+    w.bytes(sample_auth().serialize());
+    rows.push_back({"RaMsg3Bundle", w.take(),
+                    [](ByteView bytes) -> std::optional<Bytes> {
+                      BinaryReader r(bytes);
+                      const Bytes msg3_bytes = r.bytes(1u << 16);
+                      const Bytes auth = r.bytes(1u << 16);
+                      if (!r.done()) return std::nullopt;
+                      BinaryWriter out;
+                      out.bytes(msg3_bytes);
+                      out.bytes(auth);
+                      return out.take();
+                    },
+                    true,
+                    {}});
+  }
+  {
+    BinaryWriter w;  // msg3 reply: the responder's provider auth + epoch
+    w.bytes(sample_auth().serialize());
+    w.u64(0xf0f0);
+    rows.push_back({"RaMsg3Reply", w.take(),
+                    [](ByteView bytes) -> std::optional<Bytes> {
+                      BinaryReader r(bytes);
+                      auto auth = ProviderAuth::deserialize(r.bytes(1u << 16));
+                      const uint64_t epoch = r.u64();
+                      if (!auth.ok() || !r.done()) return std::nullopt;
+                      BinaryWriter out;
+                      out.bytes(auth.value().serialize());
+                      out.u64(epoch);
+                      return out.take();
+                    },
+                    true,
+                    {}});
+  }
+  {
+    BinaryWriter w;  // migratable-sealed blob under the MSK
+    w.str("SGXMIG-MSK-SEALED-v1");
+    w.fixed(pattern<12>(0x80));
+    w.fixed(pattern<16>(0x81));
+    w.bytes(to_bytes(std::string_view("aad")));
+    w.bytes(to_bytes(std::string_view("ciphertext")));
+    rows.push_back({"MskSealedBlob", w.take(),
+                    [](ByteView bytes) -> std::optional<Bytes> {
+                      BinaryReader r(bytes);
+                      if (r.str(64) != "SGXMIG-MSK-SEALED-v1") {
+                        return std::nullopt;
+                      }
+                      const auto iv = r.fixed<12>();
+                      const auto tag = r.fixed<16>();
+                      const Bytes aad = r.bytes();
+                      const Bytes ciphertext = r.bytes();
+                      if (!r.done()) return std::nullopt;
+                      BinaryWriter out;
+                      out.str("SGXMIG-MSK-SEALED-v1");
+                      out.fixed(iv);
+                      out.fixed(tag);
+                      out.bytes(aad);
+                      out.bytes(ciphertext);
+                      return out.take();
+                    },
+                    true,
+                    {}});
+  }
+
+  // Durable formats outside the protocol.
+  rows.push_back(record_row("MigrationData", sample_data(), false));
+  LibraryState state;
+  state.frozen = 1;
+  state.counters_active[2] = true;
+  state.counter_uuids[2] = sample_uuid();
+  state.counter_offsets[2] = 12;
+  state.msk = pattern<16>(0x90);
+  state.epoch_active = 1;
+  state.epoch_uuid = sample_uuid();
+  state.epoch_value = 6;
+  rows.push_back(record_row("LibraryState", state, false));
+  {
+    net::SecureChannel channel(pattern<16>(0x91),
+                               net::SecureChannel::Role::kResponder);
+    channel.seal_record(to_bytes(std::string_view("advance")));
+    WireRow row{"SecureChannelState", channel.serialize_state(),
+                [](ByteView bytes) -> std::optional<Bytes> {
+                  auto parsed = net::SecureChannel::deserialize_state(bytes);
+                  if (!parsed.ok()) return std::nullopt;
+                  return parsed.value().serialize_state();
+                },
+                true,
+                {}};
+    rows.push_back(std::move(row));
+  }
+
+  // SGX wire types.
+  sgx::DhMsg1 dh1;
+  dh1.responder_public = pattern<32>(0xa0);
+  dh1.responder_target.mr_enclave = pattern<32>(0xa1);
+  rows.push_back(record_row("DhMsg1", dh1));
+  sgx::DhMsg2 dh2;
+  dh2.initiator_public = pattern<32>(0xa2);
+  dh2.initiator_report.body = sample_report_body();
+  dh2.initiator_report.mac = pattern<16>(0xa3);
+  rows.push_back(record_row("DhMsg2", dh2));
+  sgx::DhMsg3 dh3;
+  dh3.responder_report = dh2.initiator_report;
+  rows.push_back(record_row("DhMsg3", dh3));
+  rows.push_back(record_row("Report", dh2.initiator_report));
+  sgx::RaMsg1 ra1;
+  ra1.initiator_public = pattern<32>(0xa4);
+  rows.push_back(record_row("RaMsg1", ra1));
+  sgx::RaMsg2 ra2;
+  ra2.responder_public = pattern<32>(0xa5);
+  ra2.responder_quote = sample_quote().serialize();
+  rows.push_back(record_row("RaMsg2", ra2));
+  sgx::RaMsg3 ra3;
+  ra3.initiator_quote = sample_quote().serialize();
+  rows.push_back(record_row("RaMsg3", ra3));
+  rows.push_back(record_row("Quote", sample_quote()));
+  sgx::VerificationReport ias;
+  ias.verdict = sgx::IasVerdict::kGroupRevoked;
+  ias.quote_body = sample_report_body().serialize();
+  ias.ias_signature = pattern<64>(0xa6);
+  rows.push_back(record_row("VerificationReport", ias));
+  sgx::PseRequest pse_request;
+  pse_request.op = sgx::PseOp::kCreate;
+  pse_request.owner = pattern<32>(0xa7);
+  pse_request.session_token = pattern<16>(0xa8);
+  pse_request.uuid = sample_uuid();
+  pse_request.nonce_entropy = to_bytes(std::string_view("entropy"));
+  rows.push_back(record_row("PseRequest", pse_request));
+  sgx::PseResponse pse_response;
+  pse_response.status = Status::kOk;
+  pse_response.uuid = sample_uuid();
+  pse_response.value = 31;
+  rows.push_back(record_row("PseResponse", pse_response));
+  return rows;
+}
+
+std::string sha256_hex(ByteView bytes) {
+  const auto digest = crypto::Sha256::hash(bytes);
+  return hex_encode(ByteView(digest.data(), digest.size()));
+}
+
+TEST(WireGolden, EveryRecordEncoding) {
+  const std::map<std::string, std::string> expected = {
+      {"MeRequest", "007199c8c7c7417b507407ed2b251124d0dbf8edf89cdb31a4543b6802aca58b"},
+      {"MeResponse", "e3d8b449d38c38af8097476496cfb2a9ca3e62663b3aa4e7ab3a774bc967ecb5"},
+      {"LibMsg", "bb3b7852cbb33f941f57b3ff43fc7958e4d737bb5ab296edcee694e6236f2fe7"},
+      {"MigrateRequestPayload", "1e2cb9709715233b57e348e06689478d1dcd42fb19c74ed3cb85112fcb76c770"},
+      {"MigrateReservePayload", "a89db749e534d85c687cf4d42d46921cbbe0136dad6cfa62fc3729bef1455bc4"},
+      {"PollTransferPayload", "da995d71826e48b55e769df8d23788a6b9aaf260284e85de18d6b40dc984dec5"},
+      {"TransferProgressPayload", "a580bd6b1a4fbd4187d61cc7fcf6ce7d74207c3c9adddae9c3a358a5cb8344b0"},
+      {"AbortStalePayload", "79325d10650689d24e7fabbfafd4c578f23e625d990ce1c68cd498f01127ed9a"},
+      {"AbortRequest", "ee384d75b19436524b258514b59939a8c3a8f3e70c70c81a8412d83a23aeee11"},
+      {"QueryStatusPayload", "ade5b53b953ab4a25b5ecbca6f4b12ad2fb95b8e58aa0bda442e3f2a79d40148"},
+      {"CounterChunk", "2d9cf39933aff513cc5c86414efe0b126c1f0fa76943a60c6e7a49c5d8a5ae87"},
+      {"ChunkManifestEntry", "31f823e9bd4c458eb5b30f55d39bb0c26b86527133115291e0e5056049214ca3"},
+      {"PrecopyRoundPayload", "4086858a412d0fdc612b5066cfe757bc394f8334f2f9a3ee46f32c33784ae796"},
+      {"PrecopyFinalizePayload", "6e48fa3532935d0b71183a83ba136472f5dc86b4cda8968d5171d7663cddf834"},
+      {"PrecopyChunkRecord", "6eefbd860a1e3fec5fede7eb79a29a23b673e4fd6a856488eed099ce5e6b0346"},
+      {"PrecopyFinalizeRecord", "dc240eabc035b07d7b68d546292b8208ace396a6386c268336f21b6cb999bd16"},
+      {"ReconcileQuery", "dbdfacd3a03cb98916d266cdca9c5c51b17ab356c6c1009eb06253bd1f226ce2"},
+      {"TransferPayload", "ea46d684fc2478423d142ab25e2ef35f56a361dbcfe7a0e26715566ab61b4a06"},
+      {"SessionResumeRequest", "1d9e4d08e72e79e78b88799db43054144105ba944020205a4387213b551bb27a"},
+      {"SessionResumeReply", "0a85e82db04f079193a4daa414d3ff2374267140a088d6e5aeccd67815f34089"},
+      {"ProviderAuth", "3180347ddf74f90fb711c0e1d2a66d04d3f9a7dcca9129d7dced4a1cc8610b9b"},
+      {"MachineCredential", "d7f8bf326f4b42483a95df9aae90b4b625a44bdd79d98c37b4342db0cd5def13"},
+      {"MigrationPolicy", "18d7d8bafdd1db4473fea9859f6711df690a55540ab0bef43097b879aeae9479"},
+      {"FetchReply", "15bc5f7209774313deabc946c9500324c16f3f040889a7b15d4e40196b81b20d"},
+      {"ConfirmPayload", "4e43de4104823795035603d30a9b0a20be7ed0dffea232ecad50bb93a2147dca"},
+      {"StatusReport", "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"},
+      {"DoneRecord", "8eb2d8661fef7c5465f7f503142a77909852c93b7aa6015427f67f89ecf0599d"},
+      {"AbortVerdict", "ba47575d295fe0d926598be4e1cf472169118301030b0eee293e30feb6c49949"},
+      {"ReconcileVerdictRecord", "67fd192200dbcf222f8f8969a2a817ea13863d91374b1b789423129d1d0b76b5"},
+      {"RaMsg3Bundle", "47a9187cb750fe976bfb97567b973ed50ce2c5bb37cf6bad3737cc9d5017cadb"},
+      {"RaMsg3Reply", "ff73edcd9acb18d72212e050b25beb20e6d44c294ed247c20951cab6851bb31c"},
+      {"MskSealedBlob", "4f02ce69c8aa73a9189de2a9559c88e6f541348a402630431a3869673b965020"},
+      {"MigrationData", "93e4cca167eb8a379989d89bbc14382b137157ec06849f5e2121ebd171eaf697"},
+      {"LibraryState", "7e4ed3e7e69d5cef3634bd23495780807bd8517f31d9a65f065a6c21c85bb777"},
+      {"SecureChannelState", "618101f7bca45bfe48511f7d77e4f67e44108d93351285a1e91f827df50b1862"},
+      {"DhMsg1", "c14e23d6ea724b7f39fc81e0ea1d1294fc06e025fccaca672c9ddd746ce2d509"},
+      {"DhMsg2", "8aa79455da55b197d2110faefd51f323559c174494b5ac45e3fec8854a7cb8e1"},
+      {"DhMsg3", "5115c3eb2049fc4c650b6709626eb5d532a024d00e34e9971c2293f692971023"},
+      {"Report", "b8d9d5a9eaed5d892eaed144d50639f48b1f254ca1eb3995c24fe849e1e0ef67"},
+      {"RaMsg1", "c7be047bf0b5faf22595d8a5520b57287246c831c378693259f3f49ec4451614"},
+      {"RaMsg2", "4fc3caaa8d827fff66185b4ee0ac78eeb0dda86066fa14cf809f7f30cace8cd3"},
+      {"RaMsg3", "b73222b35d46d01b742551b4081af61932007b13e8ccdbdb563acb07967e31aa"},
+      {"Quote", "b0ea11a8734fd6269121df1f0735ab435d65665cc51a5015dc71f7ada8d51157"},
+      {"VerificationReport", "c6a27a25c302d19fcab6ab64a2c7bf44753a92a8de7858de43d113135092d166"},
+      {"PseRequest", "c0addbf17084a57882f0de6f0a43ec7e0fe5aa9c1e907aeb6d7a0c820718079c"},
+      {"PseResponse", "cb7a77630ff0e5de9899200328bbc82c22afd435fd4ce0ef8d597c9f6aaad1b3"},
+  };
+  std::set<std::string> seen;
+  for (const WireRow& row : wire_golden_table()) {
+    EXPECT_TRUE(seen.insert(row.name).second) << "duplicate row " << row.name;
+    const auto it = expected.find(row.name);
+    const std::string actual = sha256_hex(row.encoding);
+    if (it == expected.end()) {
+      ADD_FAILURE() << "no golden for {\"" << row.name << "\", \"" << actual
+                    << "\"},";
+      continue;
+    }
+    EXPECT_EQ(actual, it->second) << row.name;
+    // The sample itself decodes back to the same bytes.
+    const auto back = row.reencode(row.encoding);
+    ASSERT_TRUE(back.has_value()) << row.name;
+    EXPECT_EQ(*back, row.encoding) << row.name;
+  }
+  EXPECT_EQ(seen.size(), expected.size());
+}
+
+// One ME (m0) driven through every queue section: a retained outgoing
+// transfer, a completed one, an undelivered pending entry with its
+// authenticated inbound channel, a confirmed incoming migration whose
+// DONE cannot be relayed, a source-side pre-copy task, destination-side
+// pre-copy staging, a durable queued full-snapshot task and a cached
+// peer session.
+TEST(WireGolden, SealedQueueAfterScriptedScenario) {
+  platform::World world(/*seed=*/1789);
+  world.install_management_enclaves(
+      durable_me_factory(world.provider()));
+  platform::Machine& m0 = world.add_machine("m0");
+  platform::Machine& m1 = world.add_machine("m1");
+  world.add_machine("m2");
+  const auto app = [&](platform::Machine& m, const std::string& name,
+                       bool live) {
+    auto enclave = std::make_unique<MigratableEnclave>(
+        m, sgx::EnclaveImage::create(name, 1, "acme"),
+        PersistenceMode::kSync, GroupCommitOptions{}, live);
+    enclave->set_persist_callback([](ByteView) {});
+    EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew,
+                                            m.address()),
+              Status::kOk);
+    EXPECT_TRUE(enclave->ecall_create_migratable_counter().ok());
+    EXPECT_TRUE(enclave->ecall_increment_migratable_counter(0).ok());
+    return enclave;
+  };
+  const auto restore = [&](platform::Machine& m, const std::string& name) {
+    auto enclave = std::make_unique<MigratableEnclave>(
+        m, sgx::EnclaveImage::create(name, 1, "acme"));
+    enclave->set_persist_callback([](ByteView) {});
+    EXPECT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kMigrate,
+                                            m.address()),
+              Status::kOk);
+  };
+  MigrationEnclave* me0 = me_on(m0);
+
+  ASSERT_EQ(app(m0, "retained", false)->ecall_migration_start("m1"),
+            Status::kOk);
+  ASSERT_EQ(app(m0, "completed", false)->ecall_migration_start("m1"),
+            Status::kOk);
+  restore(m1, "completed");
+  ASSERT_EQ(app(m1, "pending", false)->ecall_migration_start("m0"),
+            Status::kOk);
+  auto precopy_out = app(m0, "precopy-out", true);
+  ASSERT_TRUE(precopy_out->ecall_migration_precopy_round("m1").ok());
+  auto precopy_in = app(m1, "precopy-in", true);
+  ASSERT_TRUE(precopy_in->ecall_migration_precopy_round("m0").ok());
+  auto queued = app(m0, "queued", false);
+  ASSERT_TRUE(queued->ecall_migration_enqueue_detailed("m2").ok());
+  ASSERT_EQ(app(m1, "confirmed", false)->ecall_migration_start("m0"),
+            Status::kOk);
+  world.network().set_endpoint_down(m1.me_endpoint(), true);
+  restore(m0, "confirmed");
+  world.network().set_endpoint_down(m1.me_endpoint(), false);
+
+  EXPECT_EQ(me0->outgoing_count(), 1u);
+  EXPECT_EQ(me0->completed_history_size(), 1u);
+  EXPECT_EQ(me0->pending_incoming_count(), 1u);
+  EXPECT_EQ(me0->confirmed_incoming_size(), 1u);
+  EXPECT_EQ(me0->unrelayed_done_count(), 1u);
+  EXPECT_EQ(me0->precopy_staging_count(), 1u);
+  EXPECT_EQ(me0->transfer_task_count(), 2u);
+  EXPECT_EQ(me0->peer_session_count(), 2u);
+  EXPECT_EQ(sha256_hex(me0->sealed_queue_state()),
+            "22fefa22f94b85ffe6ddf94d747175258ac520951e8b4652f111860e97137b72");
+}
+
+TEST(WireGolden, SealedLibraryStateV2) {
+  platform::World world(/*seed=*/1790);
+  platform::Machine& m0 = world.add_machine("m0");
+  auto enclave = std::make_unique<MigratableEnclave>(
+      m0, sgx::EnclaveImage::create("sealed-state", 1, "acme"),
+      PersistenceMode::kSync, GroupCommitOptions{}, /*live=*/true);
+  enclave->set_persist_callback([](ByteView) {});
+  ASSERT_EQ(enclave->ecall_migration_init(ByteView(), InitState::kNew, "m0"),
+            Status::kOk);
+  ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(enclave->ecall_create_migratable_counter().ok());
+  ASSERT_TRUE(enclave->ecall_increment_migratable_counter(1).ok());
+  EXPECT_EQ(sha256_hex(enclave->sealed_state()),
+            "f35f2e6b3f6b51c23b53f568ddd2b650488dee3c4de2cade641818a31ce10da8");
+}
+
+TEST(WireGolden, DecodedV1LibraryState) {
+  // A Table II buffer sealed before the epoch guard existed: no epoch
+  // fields, and it restores with the guard inactive.
+  BinaryWriter w;
+  w.str("SGXMIG-LIBSTATE-v1");
+  w.u8(0);
+  for (size_t i = 0; i < kMaxCounters; ++i) w.u8(i % 3 == 0 ? 1 : 0);
+  for (size_t i = 0; i < kMaxCounters; ++i) {
+    w.u32(static_cast<uint32_t>(i));
+    w.fixed(pattern<12>(static_cast<uint8_t>(i)));
+  }
+  for (size_t i = 0; i < kMaxCounters; ++i) w.u32(static_cast<uint32_t>(3 * i));
+  w.fixed(pattern<16>(0xb0));
+  auto state = LibraryState::deserialize(w.data());
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state.value().epoch_active, 0);
+  EXPECT_EQ(sha256_hex(state.value().serialize()),
+            "67053f3045b49f6a2f6e01d2c80cb72c3284d91c7e9a2503efe2cb03a3e08c25");
+}
+
+// ----- fuzzing every row of the golden table -----
+
 class ProtocolFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ProtocolFuzz, TruncationsNeverParse) {
   Rng rng(GetParam());
-  MigrateRequestPayload payload;
-  payload.destination_address = "dest";
-  payload.policy.allowed_regions = {"r1", "r2"};
-  payload.data.counters_active[3] = true;
-  const Bytes full = payload.serialize();
-  // Every truncation point must fail to parse (no partial acceptance).
-  for (int i = 0; i < 20; ++i) {
-    const size_t cut = 1 + rng.uniform(full.size() - 1);
-    Bytes truncated(full.begin(), full.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(MigrateRequestPayload::deserialize(truncated).ok())
-        << "cut at " << cut;
+  for (const WireRow& row : wire_golden_table()) {
+    // Every proper prefix must fail to parse (no partial acceptance),
+    // except the ones the format declares legal.
+    for (int i = 0; i < 20; ++i) {
+      const size_t cut = rng.uniform(row.encoding.size());
+      if (std::count(row.legal_prefixes.begin(), row.legal_prefixes.end(),
+                     cut) != 0) {
+        continue;
+      }
+      const Bytes truncated(row.encoding.begin(),
+                            row.encoding.begin() + static_cast<long>(cut));
+      EXPECT_FALSE(row.reencode(truncated).has_value())
+          << row.name << " cut at " << cut;
+    }
   }
 }
 
-TEST_P(ProtocolFuzz, RandomBytesNeverParseAsTransfer) {
+TEST_P(ProtocolFuzz, RandomBytesNeverMisparse) {
   Rng rng(GetParam() ^ 0xf00d);
-  for (int i = 0; i < 20; ++i) {
-    const Bytes junk = rng.bytes(1 + rng.uniform(2048));
-    // Either rejected, or (vanishingly unlikely) parsed — but never
-    // crashes or reads out of bounds (ASAN-clean by construction of
-    // BinaryReader).
-    auto r = TransferPayload::deserialize(junk);
-    if (r.ok()) {
-      // If it parsed, the serialization must round-trip identically.
-      EXPECT_EQ(r.value().serialize(), junk);
+  for (const WireRow& row : wire_golden_table()) {
+    for (int i = 0; i < 20; ++i) {
+      // Half the inputs are near the sample's size, where a parse is
+      // likeliest; every decoder must stay in bounds either way.
+      const size_t len = i % 2 == 0 ? rng.uniform(2048)
+                                    : row.encoding.size() - rng.uniform(2);
+      const Bytes junk = rng.bytes(len);
+      const auto back = row.reencode(junk);
+      if (!back.has_value()) continue;
+      if (row.canonical) {
+        EXPECT_EQ(*back, junk) << row.name;
+      } else {
+        EXPECT_EQ(row.reencode(*back), back) << row.name;
+      }
     }
   }
 }
 
 TEST_P(ProtocolFuzz, BitFlipsDetectedOrIsomorphic) {
   Rng rng(GetParam() ^ 0xbeef);
-  ProviderAuth auth;
-  auth.credential.address = "m1";
-  auth.credential.region = "eu";
-  const Bytes original = auth.serialize();
-  for (int i = 0; i < 20; ++i) {
-    Bytes mutated = original;
-    mutated[rng.uniform(mutated.size())] ^=
-        static_cast<uint8_t>(1u << rng.uniform(8));
-    auto r = ProviderAuth::deserialize(mutated);
-    if (r.ok()) {
-      // Structure-level parse may succeed; the flipped field must show up
-      // so signature verification above this layer will catch it.
-      EXPECT_NE(r.value().serialize(), original);
+  for (const WireRow& row : wire_golden_table()) {
+    for (int i = 0; i < 20; ++i) {
+      Bytes mutated = row.encoding;
+      mutated[rng.uniform(mutated.size())] ^=
+          static_cast<uint8_t>(1u << rng.uniform(8));
+      const auto back = row.reencode(mutated);
+      if (!back.has_value()) continue;
+      // Structure-level parse may succeed; the flipped field must then
+      // show up, so the authentication above this layer catches it.
+      if (row.canonical) {
+        EXPECT_EQ(*back, mutated) << row.name;
+      } else {
+        EXPECT_EQ(row.reencode(*back), back) << row.name;
+      }
     }
   }
 }
