@@ -18,6 +18,10 @@ deleted handler to take its enum value with it — this checker does:
   protocol-untested          an enumerator is never mentioned anywhere
                              under tests/ (new message types cannot
                              ship untested)
+  protocol-record-golden     a struct in the protocol header declares a
+                             byte `layout` but is not named in the
+                             WireGolden table (`wire_golden_table()`
+                             under tests/), so nothing freezes its bytes
 
 Request vs. response classification comes from the enum's own section
 comments (`// requests (ML -> ME)` / `// responses (ME -> ML)`) with a
@@ -42,6 +46,9 @@ SECTION_RESP_RE = re.compile(r"^\s*responses?\b", re.IGNORECASE)
 TRAILING_REQ_RE = re.compile(r"^\s*request\b", re.IGNORECASE)
 TRAILING_RESP_RE = re.compile(r"^\s*response\b", re.IGNORECASE)
 CASE_RE = re.compile(r"\bcase\s+(\w+)\s*::\s*(k\w+)")
+STRUCT_RE = re.compile(r"\bstruct\s+(\w+)\b[^;{()]*\{")
+LAYOUT_RE = re.compile(r"\blayout\s*\(")
+GOLDEN_TABLE_RE = re.compile(r"\bwire_golden_table\s*\(\s*\)\s*\{")
 
 
 @dataclasses.dataclass
@@ -139,6 +146,39 @@ def parse_switches(src: SourceFile) -> list[Switch]:
     return switches
 
 
+def layout_structs(src: SourceFile) -> list[tuple[str, int]]:
+    """(name, line) of every struct whose body declares a `layout`."""
+    code = src.code
+    found: list[tuple[str, int]] = []
+    for match in STRUCT_RE.finditer(code):
+        open_brace = match.end() - 1
+        body = code[open_brace:_block_end(code, open_brace)]
+        if LAYOUT_RE.search(body):
+            found.append((match.group(1),
+                          code.count("\n", 0, match.start()) + 1))
+    return found
+
+
+def golden_table_text(root: pathlib.Path,
+                      tests_dir: pathlib.Path) -> str | None:
+    """Raw text (row-name strings included) of `wire_golden_table()`."""
+    if not tests_dir.is_dir():
+        return None
+    for path in sorted(tests_dir.glob("*.cpp")):
+        if "wire_golden_table" not in path.read_text(encoding="utf-8",
+                                                     errors="replace"):
+            continue
+        src = SourceFile(path, root)
+        match = GOLDEN_TABLE_RE.search(src.code)
+        if match is None:
+            continue
+        open_brace = match.end() - 1
+        # Stripping keeps every column, so code offsets index the raw text.
+        raw = "\n".join(src.raw_lines)
+        return raw[open_brace:_block_end(src.code, open_brace)]
+    return None
+
+
 def _mentioned_in(name: str, haystacks: list[str]) -> bool:
     pattern = re.compile(r"\b" + re.escape(name) + r"\b")
     return any(pattern.search(text) for text in haystacks)
@@ -233,4 +273,16 @@ def check(root: pathlib.Path,
                     f"{enum.name}::{value.name} is never mentioned under "
                     f"{tests_dir.name}/ — new message types must land with "
                     "test coverage"))
+
+    records = layout_structs(header_src)
+    table = golden_table_text(root, tests_dir) if records else None
+    for name, line in records:
+        if header_src.allowed(line, "protocol-record-golden"):
+            continue
+        if table is None or not _mentioned_in(name, [table]):
+            findings.append(Finding(
+                header_src.rel, line, "protocol-record-golden",
+                f"record {name} declares a layout but is not named in the "
+                f"WireGolden table (wire_golden_table() under "
+                f"{tests_dir.name}/): add a row pinning its bytes"))
     return findings

@@ -1,49 +1,6 @@
 #include "migration/library_state.h"
 
-#include "support/serde.h"
-
 namespace sgxmig::migration {
-
-namespace {
-constexpr char kMagicV1[] = "SGXMIG-LIBSTATE-v1";
-constexpr char kMagicV2[] = "SGXMIG-LIBSTATE-v2";  // v1 + epoch guard
-}  // namespace
-
-Bytes LibraryState::serialize() const {
-  BinaryWriter w;
-  w.str(kMagicV2);
-  w.u8(frozen);
-  for (bool active : counters_active) w.u8(active ? 1 : 0);
-  for (const auto& uuid : counter_uuids) sgx::serialize_uuid(w, uuid);
-  for (uint32_t offset : counter_offsets) w.u32(offset);
-  w.fixed(msk);
-  w.u8(epoch_active);
-  sgx::serialize_uuid(w, epoch_uuid);
-  w.u32(epoch_value);
-  return w.take();
-}
-
-Result<LibraryState> LibraryState::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  const std::string magic = r.str(64);
-  const bool v2 = magic == kMagicV2;
-  if (!v2 && magic != kMagicV1) return Status::kTampered;
-  LibraryState state;
-  state.frozen = r.u8();
-  for (auto& active : state.counters_active) active = r.u8() != 0;
-  for (auto& uuid : state.counter_uuids) uuid = sgx::deserialize_uuid(r);
-  for (auto& offset : state.counter_offsets) offset = r.u32();
-  state.msk = r.fixed<16>();
-  if (v2) {
-    // v1 buffers (sealed before the epoch guard existed) restore with the
-    // guard inactive — exactly the paper's protection level.
-    state.epoch_active = r.u8();
-    state.epoch_uuid = sgx::deserialize_uuid(r);
-    state.epoch_value = r.u32();
-  }
-  if (!r.done()) return Status::kTampered;
-  return state;
-}
 
 size_t LibraryState::active_count() const {
   size_t n = 0;

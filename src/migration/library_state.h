@@ -19,11 +19,12 @@
 #include "migration/migration_data.h"
 #include "sgx/pse.h"
 #include "support/bytes.h"
+#include "support/serde.h"
 #include "support/status.h"
 
 namespace sgxmig::migration {
 
-struct LibraryState {
+struct LibraryState : Record<LibraryState> {
   uint8_t frozen = 0;
   std::array<bool, kMaxCounters> counters_active{};
   std::array<sgx::CounterUuid, kMaxCounters> counter_uuids{};
@@ -44,8 +45,24 @@ struct LibraryState {
   sgx::CounterUuid epoch_uuid{};
   uint32_t epoch_value = 0;  // hardware value this buffer was sealed under
 
-  Bytes serialize() const;
-  static Result<LibraryState> deserialize(ByteView bytes);
+  /// Written as v2; v1 buffers (sealed before the epoch guard existed)
+  /// restore with the guard inactive — exactly the paper's protection.
+  template <class Io, class Self>
+  static void layout(Io& io, Self& s) {
+    std::string magic = "SGXMIG-LIBSTATE-v2";
+    io.str(magic, 64);
+    const bool v2 = magic == "SGXMIG-LIBSTATE-v2";
+    io.require(v2 || magic == "SGXMIG-LIBSTATE-v1");
+    io.u8(s.frozen);
+    for (auto& active : s.counters_active) io.boolean(active);
+    for (auto& uuid : s.counter_uuids) sgx::CounterUuid::layout(io, uuid);
+    for (auto& offset : s.counter_offsets) io.u32(offset);
+    io.fixed(s.msk);
+    if (!v2) return;
+    io.u8(s.epoch_active);
+    sgx::CounterUuid::layout(io, s.epoch_uuid);
+    io.u32(s.epoch_value);
+  }
 
   size_t active_count() const;
   /// Lowest free slot, or kMaxCounters when full.

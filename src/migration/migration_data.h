@@ -16,6 +16,7 @@
 #include "sgx/pse.h"
 #include "sgx/types.h"
 #include "support/bytes.h"
+#include "support/serde.h"
 #include "support/status.h"
 
 namespace sgxmig::migration {
@@ -23,13 +24,18 @@ namespace sgxmig::migration {
 inline constexpr size_t kMaxCounters =
     sgx::MonotonicCounterService::kMaxCountersPerEnclave;
 
-struct MigrationData {
+struct MigrationData : Record<MigrationData> {
   std::array<bool, kMaxCounters> counters_active{};
   std::array<uint32_t, kMaxCounters> counter_values{};  // next offsets
   sgx::Key128 msk{};
 
-  Bytes serialize() const;
-  static Result<MigrationData> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& d) {
+    io.magic("SGXMIG-MIGDATA-v1");
+    for (auto& active : d.counters_active) io.boolean(active);
+    for (auto& value : d.counter_values) io.u32(value);
+    io.fixed(d.msk);
+  }
 
   size_t active_count() const;
   bool operator==(const MigrationData&) const = default;

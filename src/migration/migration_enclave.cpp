@@ -1,5 +1,6 @@
 #include "migration/migration_enclave.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "crypto/cmac.h"
@@ -9,12 +10,9 @@
 namespace sgxmig::migration {
 
 namespace {
-constexpr char kDoneMarker[] = "SGXMIG-DONE";
 constexpr char kAcceptedMarker[] = "SGXMIG-ACCEPTED";
 constexpr char kPrecopyAckMarker[] = "SGXMIG-PC-ACK";
 constexpr char kPrecopyFinMarker[] = "SGXMIG-PC-FIN";
-constexpr char kReconcileMarker[] = "SGXMIG-RECON";
-constexpr char kAbortMarker[] = "SGXMIG-ABORT";
 constexpr char kQueueAad[] = "SGXMIG-ME-QUEUE";
 // The one durable queue format: retained transfers, pre-copy state,
 // pipelined TransferTasks with their armed flags, and the cached ME<->ME
@@ -501,14 +499,11 @@ LibMsg MigrationEnclave::on_fetch_incoming(uint64_t session_id,
   it->second.delivery_token = fresh_id();
   reply.type = LibMsgType::kIncomingData;
   reply.status = Status::kOk;
-  BinaryWriter w;
-  w.bytes(it->second.data.serialize());
-  w.u64(it->second.delivery_token);
-  // Third field (tolerated as absent by older readers): the attempt
-  // nonce, so the destination library can join this migration's trace
-  // tree without any new protocol message.
-  w.u64(it->second.request_nonce);
-  reply.payload = w.take();
+  FetchReply fetched;
+  fetched.data = it->second.data;
+  fetched.delivery_token = it->second.delivery_token;
+  fetched.request_nonce = it->second.request_nonce;
+  reply.payload = fetched.serialize();
   if (obs::Observability* obs = enabled_obs(platform())) {
     obs->trace.instant("me.fetch", platform().address(),
                        it->second.request_nonce);
@@ -521,17 +516,14 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
                                               LaSessionState& session,
                                               const LibMsg& msg) {
   LibMsg reply;
-  // Optional payload: the delivery token from the fetch reply.  An
-  // instance that re-attested (channel desync, corrupted record forcing
-  // a fresh LA session) confirms from a session that is NOT the pinned
-  // one; the token — which only the fetch reply's recipient can hold —
+  // The delivery token from the fetch reply.  An instance that
+  // re-attested (channel desync, corrupted record forcing a fresh LA
+  // session) confirms from a session that is NOT the pinned one; the
+  // token — which only the fetch reply's recipient can hold —
   // re-establishes ownership.
-  uint64_t token = 0;
-  if (!msg.payload.empty()) {
-    BinaryReader r(msg.payload);
-    token = r.u64();
-    if (!r.done()) return lib_error(Status::kTampered);
-  }
+  auto confirm = ConfirmPayload::deserialize(msg.payload);
+  if (!confirm.ok()) return lib_error(Status::kTampered);
+  const uint64_t token = confirm.value().delivery_token;
   const auto it = pending_.find(session.peer.mr_enclave);
   const bool owner =
       it != pending_.end() &&
@@ -573,12 +565,11 @@ LibMsg MigrationEnclave::on_confirm_migration(uint64_t session_id,
   const auto inbound_it = inbound_.find(transfer_id);
   std::optional<DoneRelay> relay;
   if (inbound_it != inbound_.end() && inbound_it->second.channel.has_value()) {
-    BinaryWriter done;
-    done.str(kDoneMarker);
-    done.u64(transfer_id);
+    DoneRecord done;
+    done.transfer_id = transfer_id;
     DoneRelay r;
     r.source_me_address = source_address;
-    r.sealed_record = inbound_it->second.channel->seal_record(done.data());
+    r.sealed_record = inbound_it->second.channel->seal_record(done.serialize());
     relay = std::move(r);
     inbound_.erase(inbound_it);
   }
@@ -667,9 +658,9 @@ LibMsg MigrationEnclave::on_query_status(LaSessionState& session,
   }
   reply.type = LibMsgType::kStatusReport;
   reply.status = Status::kOk;
-  BinaryWriter w;
-  w.u8(static_cast<uint8_t>(state));
-  reply.payload = w.take();
+  StatusReport report;
+  report.state = state;
+  reply.payload = report.serialize();
   return reply;
 }
 
@@ -753,13 +744,13 @@ Result<MeRequest> MigrationEnclave::ra_msg3_request(sgx::RaSession& ra,
     return Status::kIdentityMismatch;
   }
   // Provider authentication (both directions) rides along with msg3.
-  BinaryWriter w;
-  w.bytes(msg3.value().serialize());
-  w.bytes(make_provider_auth(ra.transcript_hash()).serialize());
+  RaMsg3Bundle bundle;
+  bundle.msg3 = msg3.value().serialize();
+  bundle.provider_auth = make_provider_auth(ra.transcript_hash()).serialize();
   MeRequest m3;
   m3.type = MeMsgType::kRaMsg3;
   m3.id = transfer_id;
-  m3.payload = w.take();
+  m3.payload = bundle.serialize();
   return m3;
 }
 
@@ -768,27 +759,24 @@ Result<net::SecureChannel> MigrationEnclave::handshake_channel(
     const MigrationPolicy& policy, const Result<Bytes>& raw) {
   auto payload = open_task_reply(raw);
   if (!payload.ok()) return payload.status();
-  BinaryReader r(payload.value());
-  auto peer_auth = ProviderAuth::deserialize(r.bytes(1u << 16));
-  if (!peer_auth.ok()) return Status::kTampered;
-  const uint64_t peer_epoch = r.u64();
-  if (!r.done()) return Status::kTampered;
+  auto reply = RaMsg3Reply::deserialize(payload.value());
+  if (!reply.ok()) return Status::kTampered;
+  const ProviderAuth& peer_auth = reply.value().provider_auth;
   std::string peer_region;
-  const Status auth_status =
-      verify_provider_auth(peer_auth.value(), ra.transcript_hash(),
-                           destination_address, &peer_region);
+  const Status auth_status = verify_provider_auth(
+      peer_auth, ra.transcript_hash(), destination_address, &peer_region);
   if (auth_status != Status::kOk) return auth_status;
   // Migration policy (paper §X extension): evaluated against the
   // destination's provider-CERTIFIED attributes, not self-claimed ones.
-  const Status policy_status = policy.evaluate(peer_auth.value().credential);
+  const Status policy_status = policy.evaluate(peer_auth.credential);
   if (policy_status != Status::kOk) return policy_status;
   // Cache the session for one-round-trip resumes.  Durability rides the
   // caller's next queue transition — losing an entry only costs a full
   // handshake.
   PeerSession session;
   session.master_key = ra.session_key();
-  session.peer_epoch = peer_epoch;
-  session.credential = peer_auth.value().credential;
+  session.peer_epoch = reply.value().responder_epoch;
+  session.credential = peer_auth.credential;
   session.region = peer_region;
   peer_sessions_[destination_address] = std::move(session);
   ++full_handshakes_;
@@ -1458,10 +1446,10 @@ LibMsg MigrationEnclave::on_poll_transfer(LaSessionState& session,
 
 // ----- proactive abort on re-route -----
 
-Result<uint8_t> MigrationEnclave::query_peer_me(const std::string& peer,
-                                                MeMsgType type,
-                                                const Bytes& body,
-                                                const char* marker) {
+template <class Reply>
+Result<Reply> MigrationEnclave::query_peer_me(const std::string& peer,
+                                              MeMsgType type,
+                                              const Bytes& body) {
   auto* net = platform().network();
   if (net == nullptr) return Status::kNetworkUnreachable;
   // The verdict authorizes deleting migration state, so it must come over
@@ -1478,11 +1466,7 @@ Result<uint8_t> MigrationEnclave::query_peer_me(const std::string& peer,
   if (!reply.ok()) return reply.status();
   auto record = channel.value().open_record(reply.value());
   if (!record.ok()) return record.status();
-  BinaryReader r(record.value());
-  const std::string got = r.str(64);
-  const uint8_t verdict = r.u8();
-  if (!r.done() || got != marker || verdict > 1) return Status::kTampered;
-  return verdict;
+  return Reply::deserialize(record.value());
 }
 
 Status MigrationEnclave::abort_remote_pending(
@@ -1497,12 +1481,13 @@ Status MigrationEnclave::abort_remote_pending(
   AbortRequest request;
   request.source_mr_enclave = source_mr;
   request.request_nonce = nonce;
-  auto safe = query_peer_me(destination_address, MeMsgType::kAbort,
-                            request.serialize(), kAbortMarker);
-  if (!safe.ok()) return safe.status();
+  auto verdict = query_peer_me<AbortVerdict>(
+      destination_address, MeMsgType::kAbort, request.serialize());
+  if (!verdict.ok()) return verdict.status();
   // safe == 0: the destination holds a DELIVERED entry for this nonce —
   // an instance may still confirm it, so nothing may be forgotten here.
-  return safe.value() == 1 ? Status::kOk : Status::kMigrationInProgress;
+  return verdict.value().safe == 1 ? Status::kOk
+                                   : Status::kMigrationInProgress;
 }
 
 LibMsg MigrationEnclave::on_abort_stale(LaSessionState& session,
@@ -1600,11 +1585,8 @@ MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
     expired = true;
   }
 
-  BinaryWriter w;
-  w.str(kAbortMarker);
-  // 1 = no undelivered entry remains (safe for the source to forget the
-  // attempt); 0 = an instance fetched the data and may still confirm.
-  w.u8(delivered_block ? 0 : 1);
+  AbortVerdict verdict;
+  verdict.safe = delivered_block ? 0 : 1;
   MeResponse resp;
   resp.status = Status::kOk;
   // Re-find: the erases above may have touched inbound_ (never this
@@ -1613,7 +1595,7 @@ MeResponse MigrationEnclave::on_abort(const MeRequest& req) {
   if (self == inbound_.end() || !self->second.channel.has_value()) {
     return error_response(Status::kInvalidState);
   }
-  resp.payload = self->second.channel->seal_record(w.data());
+  resp.payload = self->second.channel->seal_record(verdict.serialize());
   // One-shot conversation, like reconcile.
   inbound_.erase(self);
   if (expired) {
@@ -2014,11 +1996,9 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
   }
   InboundTransfer& inbound = it->second;
 
-  BinaryReader r(req.payload);
-  const Bytes msg3_bytes = r.bytes(1u << 16);
-  const Bytes auth_bytes = r.bytes(1u << 16);
-  if (!r.done()) return error_response(Status::kTampered);
-  auto msg3 = sgx::RaMsg3::deserialize(msg3_bytes);
+  auto bundle = RaMsg3Bundle::deserialize(req.payload);
+  if (!bundle.ok()) return error_response(Status::kTampered);
+  auto msg3 = sgx::RaMsg3::deserialize(bundle.value().msg3);
   if (!msg3.ok()) return error_response(Status::kTampered);
   const Status ra_status = inbound.ra->handle_msg3(msg3.value());
   if (ra_status != Status::kOk) {
@@ -2031,7 +2011,7 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
     return error_response(Status::kIdentityMismatch);
   }
   // Source provider authentication.
-  auto auth = ProviderAuth::deserialize(auth_bytes);
+  auto auth = ProviderAuth::deserialize(bundle.value().provider_auth);
   if (!auth.ok()) {
     inbound_.erase(it);
     return error_response(Status::kTampered);
@@ -2070,12 +2050,12 @@ MeResponse MigrationEnclave::on_ra_msg3(const MeRequest& req) {
   acceptor.source_address = inbound.source_address;
   resume_acceptors_[inbound.source_address] = std::move(acceptor);
 
+  RaMsg3Reply reply;
+  reply.provider_auth = make_provider_auth(inbound.ra->transcript_hash());
+  reply.responder_epoch = instance_epoch_;
   MeResponse resp;
   resp.status = Status::kOk;
-  BinaryWriter w;
-  w.bytes(make_provider_auth(inbound.ra->transcript_hash()).serialize());
-  w.u64(instance_epoch_);
-  resp.payload = w.take();
+  resp.payload = reply.serialize();
   return resp;
 }
 
@@ -2322,11 +2302,10 @@ Status MigrationEnclave::reconcile_pending(const sgx::Measurement& mr) {
   ReconcileQuery query;
   query.source_mr_enclave = mr;
   query.request_nonce = nonce;
-  auto verdict = query_peer_me(source_address, MeMsgType::kReconcile,
-                               query.serialize(), kReconcileMarker);
-  if (!verdict.ok()) return verdict.status();
-  if (static_cast<ReconcileVerdict>(verdict.value()) !=
-      ReconcileVerdict::kSuperseded) {
+  auto reply = query_peer_me<ReconcileReply>(
+      source_address, MeMsgType::kReconcile, query.serialize());
+  if (!reply.ok()) return reply.status();
+  if (reply.value().verdict != ReconcileVerdict::kSuperseded) {
     return Status::kMigrationInProgress;
   }
   // The source ME vouches the identity completed a NEWER transfer and
@@ -2400,15 +2379,13 @@ MeResponse MigrationEnclave::on_reconcile(const MeRequest& req) {
   // record of the queried attempt.  Anything ambiguous — including a
   // wiped history, where the pending copy might be the only one left —
   // keeps the entry.
-  const ReconcileVerdict verdict = (!nonce_live && moved_on(mr, nonce))
-                                       ? ReconcileVerdict::kSuperseded
-                                       : ReconcileVerdict::kStillLive;
-  BinaryWriter w;
-  w.str(kReconcileMarker);
-  w.u8(static_cast<uint8_t>(verdict));
+  ReconcileReply reply;
+  reply.verdict = (!nonce_live && moved_on(mr, nonce))
+                      ? ReconcileVerdict::kSuperseded
+                      : ReconcileVerdict::kStillLive;
   MeResponse resp;
   resp.status = Status::kOk;
-  resp.payload = it->second.channel->seal_record(w.data());
+  resp.payload = it->second.channel->seal_record(reply.serialize());
   // One-shot session: the reconcile conversation ends here.
   inbound_.erase(it);
   return resp;
@@ -2429,10 +2406,8 @@ MeResponse MigrationEnclave::on_done(const MeRequest& req) {
   OutgoingTransfer& transfer = it->second;
   auto plaintext = transfer.channel->open_record(req.payload);
   if (!plaintext.ok()) return error_response(plaintext.status());
-  BinaryReader r(plaintext.value());
-  const std::string marker = r.str(64);
-  const uint64_t confirmed_id = r.u64();
-  if (!r.done() || marker != kDoneMarker || confirmed_id != req.id) {
+  auto done = DoneRecord::deserialize(plaintext.value());
+  if (!done.ok() || done.value().transfer_id != req.id) {
     return error_response(Status::kTampered);
   }
   // Destination confirmed: wipe the retained migration data and retire
@@ -2512,365 +2487,215 @@ Status MigrationEnclave::persist_queue() {
 
 namespace {
 
-void serialize_chunk_map(BinaryWriter& w,
-                         const std::map<uint32_t, CounterChunk>& chunks) {
-  w.u32(static_cast<uint32_t>(chunks.size()));
-  for (const auto& [index, chunk] : chunks) chunk.serialize(w);
-}
-
-// An optional channel's state (flag first): the raw session key is wiped
-// from every temporary copy.
-void serialize_channel(BinaryWriter& w,
-                       const std::optional<net::SecureChannel>& channel) {
-  w.boolean(channel.has_value());
-  if (!channel.has_value()) return;
-  Bytes channel_state = channel->serialize_state();
-  w.bytes(channel_state);
-  secure_wipe(channel_state);
-}
-
-Status deserialize_channel(BinaryReader& r,
-                           std::optional<net::SecureChannel>& channel) {
-  if (!r.boolean()) return Status::kOk;
-  Bytes channel_state = r.bytes(64);
-  auto parsed = net::SecureChannel::deserialize_state(channel_state);
-  secure_wipe(channel_state);
-  if (!parsed.ok()) return Status::kTampered;
-  channel.emplace(std::move(parsed).value());
-  return Status::kOk;
-}
-
-Result<std::map<uint32_t, CounterChunk>> deserialize_chunk_map(
-    BinaryReader& r) {
-  const uint32_t count = r.u32();
-  if (count > kPrecopyChunkCount) return Status::kTampered;
-  std::map<uint32_t, CounterChunk> chunks;
-  for (uint32_t i = 0; i < count && r.ok(); ++i) {
-    auto chunk = CounterChunk::deserialize(r);
-    if (!chunk.ok()) return chunk.status();
-    chunks[chunk.value().index] = std::move(chunk).value();
+// A channel snapshot, length-prefixed; decoding builds the channel in
+// place, so no temporary ever holds its raw session key.
+template <class Io, class Channel>
+void channel_field(Io& io, Channel& channel) {
+  if constexpr (Io::kReading) {
+    channel.emplace(sgx::Key128{}, net::SecureChannel::Role::kInitiator);
   }
-  if (!r.ok()) return Status::kTampered;
-  return chunks;
+  io.nested(*channel, 64);
+}
+
+// An optional channel: a presence flag first.
+template <class Io, class Channel>
+void optional_channel(Io& io, Channel& channel) {
+  bool present = channel.has_value();
+  io.boolean(present);
+  if (present) channel_field(io, channel);
+}
+
+template <class Io, class D>
+void duration_field(Io& io, D& duration) {
+  uint64_t ticks = static_cast<uint64_t>(duration.count());
+  io.u64(ticks);
+  if constexpr (Io::kReading) duration = Duration(static_cast<int64_t>(ticks));
+}
+
+// The entry `key` of a history map written in the order of its FIFO: an
+// existing entry while encoding, a fresh one while decoding.
+template <class M, class K>
+decltype(auto) history_entry(M& m, const K& key) {
+  if constexpr (std::is_const_v<M>) {
+    return m.at(key);
+  } else {
+    return (m[key]);
+  }
 }
 
 }  // namespace
 
-Bytes MigrationEnclave::serialize_queue() const {
-  BinaryWriter w;
-  w.str(kQueueMagic);
-  w.u64(next_outgoing_sequence_);
+/// What apply_queue decodes into: the durable sections under the names
+/// they have on the ME, so one queue_layout serves both directions.  The
+/// ME installs it only once the whole snapshot parsed.
+struct MigrationEnclave::QueueImage {
+  uint64_t next_outgoing_sequence_ = 0;
+  std::map<uint64_t, OutgoingTransfer> outgoing_;
+  std::map<sgx::Measurement, PendingIncoming> pending_;
+  std::map<uint64_t, InboundTransfer> inbound_;
+  std::map<sgx::Measurement, std::pair<uint64_t, OutgoingState>>
+      latest_outgoing_;
+  std::map<uint64_t, CompletedOutgoing> completed_outgoing_;
+  std::deque<uint64_t> completed_order_;
+  std::map<sgx::Measurement, uint64_t> confirmed_incoming_;
+  std::deque<sgx::Measurement> confirmed_incoming_order_;
+  std::map<uint64_t, DoneRelay> done_relays_;
+  std::map<uint64_t, TransferTask> transfer_tasks_;
+  std::map<sgx::Measurement, PrecopyStaging> precopy_staging_;
+  std::map<std::string, PeerSession> peer_sessions_;
+};
 
-  w.u32(static_cast<uint32_t>(outgoing_.size()));
-  for (const auto& [id, t] : outgoing_) {
+template <class Io, class Q>
+void MigrationEnclave::queue_layout(Io& io, Q& q) {
+  io.magic(kQueueMagic);
+  io.u64(q.next_outgoing_sequence_);
+
+  io.map(q.outgoing_, [](Io& w, auto& id, auto& t) {
     w.u64(id);
     w.fixed(t.source_mr);
-    w.str(t.destination_address);
+    w.str(t.destination_address, 256);
     w.u64(t.request_nonce);
-    w.bytes(t.retained_data);
+    w.bytes(t.retained_data, 1u << 20);
     w.u64(t.sequence);
-    serialize_channel(w, t.channel);
-  }
+    optional_channel(w, t.channel);
+  });
 
-  w.u32(static_cast<uint32_t>(pending_.size()));
-  for (const auto& [mr, p] : pending_) {
+  // delivering_session is deliberately NOT persisted: LA sessions die
+  // with the ME process, so delivery re-arms after a restart.
+  io.map(q.pending_, [](Io& w, auto& mr, auto& p) {
     w.fixed(mr);
     w.u64(p.transfer_id);
-    w.bytes(p.data.serialize());
-    w.str(p.source_me_address);
+    w.nested(p.data, 1u << 20);
+    w.str(p.source_me_address, 256);
     w.u64(p.request_nonce);
-    // delivering_session is deliberately NOT persisted: LA sessions die
-    // with the ME process, so delivery re-arms after a restart.
-  }
+  });
 
   // Inbound transfers that completed authentication: their channel is
   // what decrypts the (re)sent transfer record and seals the DONE relay.
-  uint32_t inbound_count = 0;
-  for (const auto& [id, in] : inbound_) {
-    if (in.authenticated && in.channel.has_value()) ++inbound_count;
-  }
-  w.u32(inbound_count);
-  for (const auto& [id, in] : inbound_) {
-    if (!in.authenticated || !in.channel.has_value()) continue;
-    w.u64(id);
-    w.str(in.source_region);
-    w.str(in.source_address);  // authorizes source-scoped aborts
-    Bytes channel_state = in.channel->serialize_state();
-    w.bytes(channel_state);
-    secure_wipe(channel_state);  // contains the raw session key
-  }
+  io.map_if(
+      q.inbound_,
+      [](const auto& in) { return in.authenticated && in.channel.has_value(); },
+      [](Io& w, auto& id, auto& in) {
+        w.u64(id);
+        if constexpr (Io::kReading) in.authenticated = true;
+        w.str(in.source_region, 256);
+        w.str(in.source_address, 256);  // authorizes source-scoped aborts
+        channel_field(w, in.channel);
+      });
 
-  w.u32(static_cast<uint32_t>(latest_outgoing_.size()));
-  for (const auto& [mr, state] : latest_outgoing_) {
+  io.map(q.latest_outgoing_, [](Io& w, auto& mr, auto& state) {
     w.fixed(mr);
     w.u64(state.first);
-    w.u8(static_cast<uint8_t>(state.second));
-  }
+    outgoing_state_field(w, state.second);
+  });
 
-  w.u32(static_cast<uint32_t>(completed_order_.size()));
-  for (const uint64_t id : completed_order_) {
-    const auto it = completed_outgoing_.find(id);
+  io.list(q.completed_order_, kCompletedHistoryLimit, [&q](Io& w, auto& id) {
     w.u64(id);
-    w.fixed(it->second.source_mr);
-    w.u64(it->second.request_nonce);
-    w.u64(it->second.sequence);
-  }
+    auto& record = history_entry(q.completed_outgoing_, id);
+    w.fixed(record.source_mr);
+    w.u64(record.request_nonce);
+    w.u64(record.sequence);
+  });
 
-  w.u32(static_cast<uint32_t>(confirmed_incoming_order_.size()));
-  for (const sgx::Measurement& mr : confirmed_incoming_order_) {
-    w.fixed(mr);
-    w.u64(confirmed_incoming_.at(mr));
-  }
+  io.list(q.confirmed_incoming_order_, kCompletedHistoryLimit,
+          [&q](Io& w, auto& mr) {
+            w.fixed(mr);
+            w.u64(history_entry(q.confirmed_incoming_, mr));
+          });
 
-  w.u32(static_cast<uint32_t>(done_relays_.size()));
-  for (const auto& [id, relay] : done_relays_) {
+  io.map(q.done_relays_, [](Io& w, auto& id, auto& relay) {
     w.u64(id);
-    w.str(relay.source_me_address);
-    w.bytes(relay.sealed_record);
-  }
+    w.str(relay.source_me_address, 256);
+    w.bytes(relay.sealed_record, 1u << 16);
+  });
 
   // ----- live pre-copy state -----
   // Source-side pre-copy tasks (merged chunk sets + RA channels) and
   // destination staging: an ME restart between rounds RESUMES the
-  // pre-copy instead of throwing away every round already shipped.
-  uint32_t precopy_tasks = 0;
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    precopy_tasks += t.precopy.has_value();
-  }
-  w.u32(precopy_tasks);
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    if (!t.precopy.has_value()) continue;
-    w.u64(nonce);
-    w.fixed(t.source_mr);
-    w.str(t.request.destination_address);
-    w.u64(t.transfer_id);
-    w.u32(t.precopy->rounds);
-    w.boolean(t.precopy->resync);
-    serialize_chunk_map(w, t.precopy->merged);
-    serialize_channel(w, t.channel);
-  }
-  w.u32(static_cast<uint32_t>(precopy_staging_.size()));
-  for (const auto& [mr, s] : precopy_staging_) {
+  // pre-copy instead of throwing away every round already shipped.  The
+  // tasks restore at kQueued WITHOUT a policy: the restored channel may
+  // be stale (round acks are not persisted), so the task re-attests —
+  // with the policy of the library's next round or finalize.
+  io.map_if(
+      q.transfer_tasks_, [](const auto& t) { return t.precopy.has_value(); },
+      [](Io& w, auto& nonce, auto& t) {
+        w.u64(nonce);
+        if constexpr (Io::kReading) {
+          t.precopy.emplace();
+          t.request.request_nonce = nonce;
+        }
+        w.fixed(t.source_mr);
+        w.str(t.request.destination_address, 256);
+        w.u64(t.transfer_id);
+        w.u32(t.precopy->rounds);
+        w.boolean(t.precopy->resync);
+        w.keyed(t.precopy->merged, kPrecopyChunkCount, &CounterChunk::index);
+        optional_channel(w, t.channel);
+      });
+  io.map(q.precopy_staging_, [](Io& w, auto& mr, auto& s) {
     w.fixed(mr);
     w.u64(s.transfer_id);
-    w.str(s.source_me_address);
+    w.str(s.source_me_address, 256);
     w.u64(s.request_nonce);
     w.u32(s.rounds);
-    serialize_chunk_map(w, s.chunks);
-    w.u64(static_cast<uint64_t>(s.last_update.count()));  // sweep age
-  }
+    w.keyed(s.chunks, kPrecopyChunkCount, &CounterChunk::index);
+    duration_field(w, s.last_update);  // sweep age
+  });
 
   // ----- full-snapshot TransferTasks -----
   // Only the durable identity of each task (who, where, what data, which
   // nonce): attestation state is per-attempt, so a restarted ME resumes
-  // every pipeline from the attest step under a fresh transfer id.
-  const auto durable_full = [](const TransferTask& t) {
-    return t.durable && !t.precopy.has_value();
-  };
-  uint32_t durable_tasks = 0;
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    durable_tasks += durable_full(t);
-  }
-  w.u32(durable_tasks);
-  for (const auto& [nonce, t] : transfer_tasks_) {
-    if (!durable_full(t)) continue;
-    w.u64(nonce);
-    w.fixed(t.source_mr);
-    w.bytes(t.request.serialize());
-    w.boolean(t.armed);  // unarmed reservations re-park at kAwaitArm
-  }
+  // every pipeline from the attest step (kQueued) under a fresh transfer
+  // id; an unarmed reservation re-parks at kAwaitArm, and the nonce keeps
+  // the end-to-end result exactly-once.
+  io.map_if(
+      q.transfer_tasks_,
+      [](const auto& t) { return t.durable && !t.precopy.has_value(); },
+      [](Io& w, auto& nonce, auto& t) {
+        w.u64(nonce);
+        w.fixed(t.source_mr);
+        w.nested(t.request, 1u << 21);
+        w.boolean(t.armed);
+      });
 
   // ----- cached ME<->ME attestation sessions -----
   // Master keys ride the sealed snapshot like channel keys do; losing an
   // entry only costs one full handshake.  Acceptor-side state is
   // deliberately NOT persisted (a restarted responder must force the full
   // handshake — that is the anti-fork evidence the initiator relies on).
-  w.u32(static_cast<uint32_t>(peer_sessions_.size()));
-  for (const auto& [address, s] : peer_sessions_) {
-    w.str(address);
+  io.map(q.peer_sessions_, [](Io& w, auto& address, auto& s) {
+    w.str(address, 256);
     w.fixed(s.master_key);
     w.u64(s.peer_epoch);
-    s.credential.serialize(w);
-    w.str(s.region);
-  }
+    platform::MachineCredential::layout(w, s.credential);
+    w.str(s.region, 256);
+  });
+}
+
+Bytes MigrationEnclave::serialize_queue() const {
+  BinaryWriter w;
+  queue_layout(w, *this);
   return w.take();
 }
 
 Status MigrationEnclave::apply_queue(ByteView plaintext) {
+  QueueImage q;
   BinaryReader r(plaintext);
-  if (r.str(64) != kQueueMagic) return Status::kTampered;
-  const uint64_t next_sequence = r.u64();
-
-  std::map<uint64_t, OutgoingTransfer> outgoing;
-  const uint32_t outgoing_count = r.u32();
-  for (uint32_t i = 0; i < outgoing_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    OutgoingTransfer t;
-    t.source_mr = r.fixed<32>();
-    t.destination_address = r.str(256);
-    t.request_nonce = r.u64();
-    t.retained_data = r.bytes(1u << 20);
-    t.sequence = r.u64();
-    if (deserialize_channel(r, t.channel) != Status::kOk) {
-      return Status::kTampered;
-    }
-    outgoing[id] = std::move(t);
-  }
-
-  std::map<sgx::Measurement, PendingIncoming> pending;
-  const uint32_t pending_count = r.u32();
-  for (uint32_t i = 0; i < pending_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    PendingIncoming p;
-    p.transfer_id = r.u64();
-    auto data = MigrationData::deserialize(r.bytes(1u << 20));
-    if (!data.ok()) return Status::kTampered;
-    p.data = std::move(data).value();
-    p.source_me_address = r.str(256);
-    p.request_nonce = r.u64();
-    pending[mr] = std::move(p);
-  }
-
-  std::map<uint64_t, InboundTransfer> inbound;
-  const uint32_t inbound_count = r.u32();
-  for (uint32_t i = 0; i < inbound_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    InboundTransfer in;
-    in.authenticated = true;
-    in.source_region = r.str(256);
-    in.source_address = r.str(256);
-    Bytes channel_state = r.bytes(64);
-    auto channel = net::SecureChannel::deserialize_state(channel_state);
-    secure_wipe(channel_state);
-    if (!channel.ok()) return Status::kTampered;
-    in.channel.emplace(std::move(channel).value());
-    inbound[id] = std::move(in);
-  }
-
-  std::map<sgx::Measurement, std::pair<uint64_t, OutgoingState>> latest;
-  const uint32_t latest_count = r.u32();
-  for (uint32_t i = 0; i < latest_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    const uint64_t sequence = r.u64();
-    const uint8_t state = r.u8();
-    if (state > 2) return Status::kTampered;
-    latest[mr] = {sequence, static_cast<OutgoingState>(state)};
-  }
-
-  std::map<uint64_t, CompletedOutgoing> completed;
-  std::deque<uint64_t> completed_order;
-  const uint32_t completed_count = r.u32();
-  if (completed_count > kCompletedHistoryLimit) return Status::kTampered;
-  for (uint32_t i = 0; i < completed_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    CompletedOutgoing record;
-    record.source_mr = r.fixed<32>();
-    record.request_nonce = r.u64();
-    record.sequence = r.u64();
-    completed[id] = record;
-    completed_order.push_back(id);
-  }
-
-  std::map<sgx::Measurement, uint64_t> confirmed_incoming;
-  std::deque<sgx::Measurement> confirmed_incoming_order;
-  const uint32_t confirmed_count = r.u32();
-  if (confirmed_count > kCompletedHistoryLimit) return Status::kTampered;
-  for (uint32_t i = 0; i < confirmed_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    confirmed_incoming[mr] = r.u64();
-    confirmed_incoming_order.push_back(mr);
-  }
-
-  std::map<uint64_t, DoneRelay> relays;
-  const uint32_t relay_count = r.u32();
-  for (uint32_t i = 0; i < relay_count && r.ok(); ++i) {
-    const uint64_t id = r.u64();
-    DoneRelay relay;
-    relay.source_me_address = r.str(256);
-    relay.sealed_record = r.bytes(1u << 16);
-    relays[id] = std::move(relay);
-  }
-
-  // Pre-copy tasks restore at kQueued WITHOUT a policy: the restored
-  // channel may be stale (round acks are not persisted), so the task
-  // re-attests — with the policy of the library's next round or finalize.
-  std::map<uint64_t, TransferTask> transfer_tasks;
-  std::map<sgx::Measurement, PrecopyStaging> precopy_staging;
-  const uint32_t precopy_count = r.u32();
-  for (uint32_t i = 0; i < precopy_count && r.ok(); ++i) {
-    const uint64_t nonce = r.u64();
-    TransferTask t;
-    t.precopy.emplace();
-    t.source_mr = r.fixed<32>();
-    t.request.destination_address = r.str(256);
-    t.request.request_nonce = nonce;
-    t.transfer_id = r.u64();
-    t.precopy->rounds = r.u32();
-    t.precopy->resync = r.boolean();
-    auto merged = deserialize_chunk_map(r);
-    if (!merged.ok()) return Status::kTampered;
-    t.precopy->merged = std::move(merged).value();
-    if (deserialize_channel(r, t.channel) != Status::kOk) {
-      return Status::kTampered;
-    }
-    transfer_tasks[nonce] = std::move(t);
-  }
-  const uint32_t staging_count = r.u32();
-  for (uint32_t i = 0; i < staging_count && r.ok(); ++i) {
-    const sgx::Measurement mr = r.fixed<32>();
-    PrecopyStaging s;
-    s.transfer_id = r.u64();
-    s.source_me_address = r.str(256);
-    s.request_nonce = r.u64();
-    s.rounds = r.u32();
-    auto chunks = deserialize_chunk_map(r);
-    if (!chunks.ok()) return Status::kTampered;
-    s.chunks = std::move(chunks).value();
-    s.last_update = Duration(static_cast<int64_t>(r.u64()));
-    precopy_staging[mr] = std::move(s);
-  }
-
-  const uint32_t task_count = r.u32();
-  for (uint32_t i = 0; i < task_count && r.ok(); ++i) {
-    const uint64_t nonce = r.u64();
-    TransferTask t;
-    t.source_mr = r.fixed<32>();
-    auto request = MigrateRequestPayload::deserialize(r.bytes(1u << 21));
-    if (!request.ok()) return Status::kTampered;
-    t.request = std::move(request).value();
-    t.armed = r.boolean();
-    // Step collapses to kQueued: the next pump() re-attests and
-    // re-ships; an unarmed task re-parks at kAwaitArm and the nonce
-    // keeps the end-to-end result exactly-once.
-    transfer_tasks[nonce] = std::move(t);
-  }
-
-  std::map<std::string, PeerSession> peer_sessions;
-  const uint32_t session_count = r.u32();
-  for (uint32_t i = 0; i < session_count && r.ok(); ++i) {
-    const std::string address = r.str(256);
-    PeerSession s;
-    s.master_key = r.fixed<16>();
-    s.peer_epoch = r.u64();
-    s.credential = platform::MachineCredential::deserialize(r);
-    s.region = r.str(256);
-    peer_sessions[address] = std::move(s);
-  }
-
+  queue_layout(r, q);
   if (!r.done()) return Status::kTampered;
-  next_outgoing_sequence_ = next_sequence;
-  outgoing_ = std::move(outgoing);
-  pending_ = std::move(pending);
-  inbound_ = std::move(inbound);
-  latest_outgoing_ = std::move(latest);
-  completed_outgoing_ = std::move(completed);
-  completed_order_ = std::move(completed_order);
-  confirmed_incoming_ = std::move(confirmed_incoming);
-  confirmed_incoming_order_ = std::move(confirmed_incoming_order);
-  done_relays_ = std::move(relays);
-  precopy_staging_ = std::move(precopy_staging);
-  transfer_tasks_ = std::move(transfer_tasks);
-  peer_sessions_ = std::move(peer_sessions);
+  next_outgoing_sequence_ = q.next_outgoing_sequence_;
+  outgoing_ = std::move(q.outgoing_);
+  pending_ = std::move(q.pending_);
+  inbound_ = std::move(q.inbound_);
+  latest_outgoing_ = std::move(q.latest_outgoing_);
+  completed_outgoing_ = std::move(q.completed_outgoing_);
+  completed_order_ = std::move(q.completed_order_);
+  confirmed_incoming_ = std::move(q.confirmed_incoming_);
+  confirmed_incoming_order_ = std::move(q.confirmed_incoming_order_);
+  done_relays_ = std::move(q.done_relays_);
+  precopy_staging_ = std::move(q.precopy_staging_);
+  transfer_tasks_ = std::move(q.transfer_tasks_);
+  peer_sessions_ = std::move(q.peer_sessions_);
   return Status::kOk;
 }
 

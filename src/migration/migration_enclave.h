@@ -540,11 +540,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   Result<net::SecureChannel> attest_peer_me(
       const std::string& destination_address, uint64_t transfer_id);
   /// One attested one-shot ME<->ME query: attests `peer` under a fresh
-  /// id, sends `body` sealed as a `type` request, and opens the reply,
-  /// which must be the `marker` string followed by one byte of 0 or 1
-  /// (returned).
-  Result<uint8_t> query_peer_me(const std::string& peer, MeMsgType type,
-                                const Bytes& body, const char* marker);
+  /// id, sends `body` sealed as a `type` request, and opens the sealed
+  /// reply as a `Reply` record.
+  template <class Reply>
+  Result<Reply> query_peer_me(const std::string& peer, MeMsgType type,
+                              const Bytes& body);
 
   // Handshake halves shared by attest_peer_me and the TransferTask steps;
   // each consumes one peer reply.
@@ -620,6 +620,11 @@ class MigrationEnclave : public sgx::Enclave, private PersistSink {
   Status persist_queue();
   Bytes serialize_queue() const;
   Status apply_queue(ByteView plaintext);
+  /// The durable queue's one layout, run on this ME (encode) or on a
+  /// QueueImage (decode; apply_queue installs it once it parsed).
+  struct QueueImage;
+  template <class Io, class Q>
+  static void queue_layout(Io& io, Q& q);
 
   crypto::Ed25519KeyPair machine_key_;
   platform::MachineCredential credential_;

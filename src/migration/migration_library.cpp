@@ -12,7 +12,6 @@ namespace sgxmig::migration {
 
 namespace {
 constexpr char kStateAad[] = "SGXMIG-ML-STATE";
-constexpr char kMskBlobMagic[] = "SGXMIG-MSK-SEALED-v1";
 }  // namespace
 
 MigrationLibrary::MigrationLibrary(sgx::Enclave& host,
@@ -233,26 +232,17 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       }
       // Payload: the migration data plus the ME's delivery token — proof
       // of being the instance the sealed fetch reply reached, honored by
-      // the confirm even if this library must re-attest in between.
-      // Newer MEs append the attempt's request nonce so the destination's
-      // restore joins the source's trace tree; older payloads simply end
-      // after the token.
-      BinaryReader fetched(reply.value().payload);
-      const Bytes data_bytes = fetched.bytes(1u << 20);
-      const uint64_t delivery_token = fetched.u64();
-      const uint64_t request_nonce = fetched.done() ? 0 : fetched.u64();
-      if (!fetched.done()) return Status::kTampered;
+      // the confirm even if this library must re-attest in between — and
+      // the attempt nonce, so the restore joins the source's trace tree.
+      auto fetched = FetchReply::deserialize(reply.value().payload);
+      if (!fetched.ok()) return fetched.status();
+      const uint64_t request_nonce = fetched.value().request_nonce;
       uint64_t restore_span = 0;
       if (obs::TraceRecorder* rec = recorder()) {
         restore_span = rec->begin_span("restore", lane(), request_nonce);
         rec->span_arg(restore_span, "enclave", host_.image().name());
       }
-      auto data = MigrationData::deserialize(data_bytes);
-      if (!data.ok()) {
-        trace_step_end(restore_span, "deserialize-failed");
-        return data.status();
-      }
-      const Status apply_status = apply_incoming(data.value());
+      const Status apply_status = apply_incoming(fetched.value().data);
       if (apply_status != Status::kOk) {
         trace_step_end(restore_span, "apply-failed");
         return apply_status;
@@ -268,9 +258,9 @@ Status MigrationLibrary::migration_init(ByteView state_buffer,
       // ME answers idempotently from its confirmed-incoming history.
       LibMsg confirm;
       confirm.type = LibMsgType::kConfirmMigration;
-      BinaryWriter confirm_payload;
-      confirm_payload.u64(delivery_token);
-      confirm.payload = confirm_payload.take();
+      ConfirmPayload token;
+      token.delivery_token = fetched.value().delivery_token;
+      confirm.payload = token.serialize();
       auto ack = me_exchange_reattest(confirm);
       if (!ack.ok() || ack.value().type != LibMsgType::kConfirmAck) {
         ack = me_exchange_reattest(confirm);
@@ -361,38 +351,33 @@ Result<Bytes> MigrationLibrary::seal_migratable_data(
   host_.charge_gcm(text_to_encrypt.size() + additional_mac_text.size());
   Bytes iv(crypto::kGcmIvSize);
   host_.rng().generate(iv.data(), iv.size());
-  const auto ct = crypto::gcm_encrypt(
+  auto ct = crypto::gcm_encrypt(
       ByteView(state_.msk.data(), state_.msk.size()), iv, additional_mac_text,
       text_to_encrypt);
-  BinaryWriter w;
-  w.str(kMskBlobMagic);
-  w.fixed(ct.iv);
-  w.fixed(ct.tag);
-  w.bytes(additional_mac_text);
-  w.bytes(ct.ciphertext);
-  return w.take();
+  MskSealedBlob blob;
+  blob.iv = ct.iv;
+  blob.tag = ct.tag;
+  blob.aad.assign(additional_mac_text.begin(), additional_mac_text.end());
+  blob.ciphertext = std::move(ct.ciphertext);
+  return blob.serialize();
 }
 
 Result<sgx::UnsealedData> MigrationLibrary::unseal_migratable_data(
     ByteView sealed_blob) {
   const Status op = check_operational();
   if (op != Status::kOk) return op;
-  BinaryReader r(sealed_blob);
-  if (r.str(64) != kMskBlobMagic) return Status::kTampered;
-  const auto iv = r.fixed<12>();
-  const auto tag = r.fixed<16>();
-  const Bytes aad = r.bytes();
-  const Bytes ciphertext = r.bytes();
-  if (!r.done()) return Status::kTampered;
-  host_.charge_gcm(ciphertext.size() + aad.size());
+  auto blob = MskSealedBlob::deserialize(sealed_blob);
+  if (!blob.ok()) return blob.status();
+  const MskSealedBlob& b = blob.value();
+  host_.charge_gcm(b.ciphertext.size() + b.aad.size());
   auto plaintext = crypto::gcm_decrypt(
       ByteView(state_.msk.data(), state_.msk.size()),
-      ByteView(iv.data(), iv.size()), aad, ciphertext,
-      ByteView(tag.data(), tag.size()));
+      ByteView(b.iv.data(), b.iv.size()), b.aad, b.ciphertext,
+      ByteView(b.tag.data(), b.tag.size()));
   if (!plaintext.ok()) return plaintext.status();
   sgx::UnsealedData out;
   out.plaintext = std::move(plaintext).value();
-  out.aad = aad;
+  out.aad = std::move(blob).value().aad;
   return out;
 }
 
@@ -1330,10 +1315,9 @@ Result<OutgoingState> MigrationLibrary::query_status_internal(uint64_t nonce) {
   if (reply.value().type != LibMsgType::kStatusReport) {
     return Status::kUnexpected;
   }
-  BinaryReader r(reply.value().payload);
-  const uint8_t state = r.u8();
-  if (!r.done() || state > 2) return Status::kTampered;
-  return static_cast<OutgoingState>(state);
+  auto report = StatusReport::deserialize(reply.value().payload);
+  if (!report.ok()) return report.status();
+  return report.value().state;
 }
 
 Result<OutgoingState> MigrationLibrary::query_migration_status() {

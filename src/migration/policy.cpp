@@ -20,29 +20,4 @@ Status MigrationPolicy::evaluate(
   return Status::kOk;
 }
 
-void MigrationPolicy::serialize(BinaryWriter& w) const {
-  w.u32(static_cast<uint32_t>(allowed_regions.size()));
-  for (const auto& region : allowed_regions) w.str(region);
-  w.u32(static_cast<uint32_t>(denied_addresses.size()));
-  for (const auto& address : denied_addresses) w.str(address);
-  w.u32(min_cpu_cores);
-}
-
-Result<MigrationPolicy> MigrationPolicy::deserialize(BinaryReader& r) {
-  MigrationPolicy policy;
-  const uint32_t regions = r.u32();
-  if (regions > 256) return Status::kTampered;
-  for (uint32_t i = 0; i < regions; ++i) {
-    policy.allowed_regions.push_back(r.str(256));
-  }
-  const uint32_t denied = r.u32();
-  if (denied > 4096) return Status::kTampered;
-  for (uint32_t i = 0; i < denied; ++i) {
-    policy.denied_addresses.push_back(r.str(256));
-  }
-  policy.min_cpu_cores = r.u32();
-  if (!r.ok()) return Status::kTampered;
-  return policy;
-}
-
 }  // namespace sgxmig::migration

@@ -22,7 +22,7 @@
 
 namespace sgxmig::migration {
 
-struct MigrationPolicy {
+struct MigrationPolicy : Record<MigrationPolicy> {
   /// Allowed destination regions; empty = any region.
   std::vector<std::string> allowed_regions;
   /// Machines the enclave must never migrate to; empty = none.
@@ -39,8 +39,13 @@ struct MigrationPolicy {
   /// attributes.  Returns kOk or kPolicyViolation.
   Status evaluate(const platform::MachineCredential& destination) const;
 
-  void serialize(BinaryWriter& w) const;
-  static Result<MigrationPolicy> deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    const auto name = [](auto& io_, auto& s) { io_.str(s, 256); };
+    io.list(p.allowed_regions, 256, name);
+    io.list(p.denied_addresses, 4096, name);
+    io.u32(p.min_cpu_cores);
+  }
 };
 
 }  // namespace sgxmig::migration

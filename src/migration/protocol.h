@@ -71,21 +71,28 @@ inline constexpr std::array<MeMsgType, 12> kAllMeMsgTypes = {
     MeMsgType::kAbort,          MeMsgType::kSessionResume,
 };
 
-struct MeRequest {
+struct MeRequest : Record<MeRequest> {
   MeMsgType type = MeMsgType::kLaStart;
   uint64_t id = 0;  // LA session id or transfer id
   Bytes payload;
 
-  Bytes serialize() const;
-  static Result<MeRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.enumeration(m.type, kAllMeMsgTypes.front(), kAllMeMsgTypes.back());
+    io.u64(m.id);
+    io.bytes(m.payload, 1u << 22);
+  }
 };
 
-struct MeResponse {
+struct MeResponse : Record<MeResponse> {
   Status status = Status::kUnexpected;
   Bytes payload;
 
-  Bytes serialize() const;
-  static Result<MeResponse> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.u32(m.status);
+    io.bytes(m.payload, 1u << 22);
+  }
 };
 
 // ----- inner ML <-> ME messages -----
@@ -94,10 +101,9 @@ enum class LibMsgType : uint8_t {
   // requests (ML -> ME)
   kMigrateRequest = 1,
   kFetchIncoming = 2,
-  // Payload: u64 delivery token from the kIncomingData reply (which
-  // carries {bytes data, u64 token}): proves the confirmer is the
-  // instance the sealed fetch reply reached, even over a re-attested
-  // session.  Empty payload = legacy, session-pinned confirm only.
+  // Payload: ConfirmPayload, the delivery token of the FetchReply: proves
+  // the confirmer is the instance the sealed fetch reply reached, even
+  // over a re-attested session.
   kConfirmMigration = 3,
   kQueryStatus = 4,
   kPrecopyRound = 5,        // ship chunks dirtied since the last round
@@ -129,17 +135,38 @@ enum class LibMsgType : uint8_t {
   kArmAck = 22,             // response: task armed, transfer shipping
 };
 
-struct LibMsg {
+struct LibMsg : Record<LibMsg> {
   LibMsgType type = LibMsgType::kError;
   Status status = Status::kOk;
   Bytes payload;
 
-  Bytes serialize() const;
-  static Result<LibMsg> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.u8(m.type);
+    io.u32(m.status);
+    io.bytes(m.payload, 1u << 22);
+  }
 };
 
-/// Payload of kMigrateRequest.
-struct MigrateRequestPayload {
+/// Payload of kMigrateReserve (ML -> ME): like kMigrateEnqueue but with
+/// no migration data — the enclave stays LIVE while the task queues and
+/// attests.  The data follows in kMigrateArm once the poll reports
+/// kSlotLive and the library has frozen + collected.
+struct MigrateReservePayload : Record<MigrateReservePayload> {
+  std::string destination_address;
+  uint64_t request_nonce = 0;
+  MigrationPolicy policy;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.str(p.destination_address, 256);
+    io.u64(p.request_nonce);
+    MigrationPolicy::layout(io, p.policy);
+  }
+};
+
+/// Payload of kMigrateRequest: the reserve payload plus the data.
+struct MigrateRequestPayload : Record<MigrateRequestPayload> {
   std::string destination_address;
   /// Random per-migration-attempt identifier chosen by the Migration
   /// Library.  The ME stores it in the durable transfer queue so that (a)
@@ -153,8 +180,11 @@ struct MigrateRequestPayload {
   MigrationPolicy policy;
   MigrationData data;
 
-  Bytes serialize() const;
-  static Result<MigrateRequestPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    MigrateReservePayload::layout(io, p);
+    io.nested(p.data, 1u << 20);
+  }
 };
 
 /// Payload of kStatusReport.
@@ -162,6 +192,46 @@ enum class OutgoingState : uint8_t {
   kNone = 0,       // no outgoing migration known for this enclave
   kPending = 1,    // data transferred, waiting for destination confirm
   kCompleted = 2,  // destination confirmed; source data deleted
+};
+
+template <class Io, class State>
+void outgoing_state_field(Io& io, State& state) {
+  io.enumeration(state, OutgoingState::kNone, OutgoingState::kCompleted);
+}
+
+struct StatusReport : Record<StatusReport> {
+  OutgoingState state = OutgoingState::kNone;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    outgoing_state_field(io, r.state);
+  }
+};
+
+/// Payload of kIncomingData: the migration data, the delivery token that
+/// authorizes the confirm, and the attempt nonce (the destination's
+/// restore joins the source's trace tree).
+struct FetchReply : Record<FetchReply> {
+  MigrationData data;
+  uint64_t delivery_token = 0;
+  uint64_t request_nonce = 0;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.nested(r.data, 1u << 20);
+    io.u64(r.delivery_token);
+    io.u64(r.request_nonce);
+  }
+};
+
+/// Payload of kConfirmMigration.
+struct ConfirmPayload : Record<ConfirmPayload> {
+  uint64_t delivery_token = 0;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.u64(p.delivery_token);
+  }
 };
 
 // ----- pipelined (non-blocking) outgoing transfers -----
@@ -186,54 +256,68 @@ enum class TransferProgress : uint8_t {
   kSlotLive = 4,
 };
 
-/// Payload of kMigrateReserve (ML -> ME): like kMigrateEnqueue but with
-/// no migration data — the enclave stays LIVE while the task queues and
-/// attests.  The data follows in kMigrateArm once the poll reports
-/// kSlotLive and the library has frozen + collected.
-struct MigrateReservePayload {
-  std::string destination_address;
-  uint64_t request_nonce = 0;
-  MigrationPolicy policy;
-
-  Bytes serialize() const;
-  static Result<MigrateReservePayload> deserialize(ByteView bytes);
-};
-
 /// Payload of kPollTransfer.
-struct PollTransferPayload {
+struct PollTransferPayload : Record<PollTransferPayload> {
   uint64_t request_nonce = 0;
 
-  Bytes serialize() const;
-  static Result<PollTransferPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.u64(p.request_nonce);
+  }
 };
 
 /// Payload of kTransferProgress.
-struct TransferProgressPayload {
+struct TransferProgressPayload : Record<TransferProgressPayload> {
   TransferProgress progress = TransferProgress::kNone;
   Status failure = Status::kOk;
 
-  Bytes serialize() const;
-  static Result<TransferProgressPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.enumeration(p.progress, TransferProgress::kNone,
+                   TransferProgress::kSlotLive);
+    io.u32(p.failure);
+  }
 };
 
 /// Payload of kAbortStale (ML -> its local ME): the library re-routed a
 /// staged attempt, so the old destination's undelivered entry for
 /// `request_nonce` is an orphan the source ME should proactively expire.
-struct AbortStalePayload {
+struct AbortStalePayload : Record<AbortStalePayload> {
   uint64_t request_nonce = 0;
   std::string destination_address;
 
-  Bytes serialize() const;
-  static Result<AbortStalePayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.u64(p.request_nonce);
+    io.str(p.destination_address, 256);
+  }
 };
 
-/// Payload of the kAbort record (source ME -> orphaned destination ME).
-struct AbortRequest {
+/// Payload of the kAbort record (source ME -> orphaned destination ME);
+/// the kReconcile record (ReconcileQuery) has the same layout.
+struct AbortRequest : Record<AbortRequest> {
   sgx::Measurement source_mr_enclave{};
   uint64_t request_nonce = 0;
 
-  Bytes serialize() const;
-  static Result<AbortRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.fixed(p.source_mr_enclave);
+    io.u64(p.request_nonce);
+  }
+};
+
+/// Sealed reply to a kAbort record: 1 = no undelivered entry remains
+/// (the source may forget the attempt); 0 = an instance fetched the data
+/// and may still confirm.
+struct AbortVerdict : Record<AbortVerdict> {
+  uint8_t safe = 0;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& v) {
+    io.magic("SGXMIG-ABORT");
+    io.u8(v.safe);
+    io.require(v.safe <= 1);
+  }
 };
 
 /// Payload of kQueryStatus.  An empty payload asks for the most recent
@@ -241,11 +325,15 @@ struct AbortRequest {
 /// the answer to the single migrate request that carried it (the resume
 /// path after an ME restart mid-exchange must not be confused by earlier
 /// migrations of the same identity through the same ME).
-struct QueryStatusPayload {
-  uint64_t request_nonce = 0;  // 0 = per-identity query
+struct QueryStatusPayload : Record<QueryStatusPayload> {
+  uint64_t request_nonce = 0;  // 0 = per-identity query, an empty payload
 
-  Bytes serialize() const;
-  static Result<QueryStatusPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    bool present = p.request_nonce != 0;
+    if constexpr (Io::kReading) present = io.remaining() != 0;
+    if (present) io.u64(p.request_nonce);
+  }
 };
 
 // ----- live pre-copy transfer (iterative rounds, paper-plus) -----
@@ -271,18 +359,31 @@ struct CounterChunk {
   std::array<bool, kPrecopyChunkSlots> active{};
   std::array<uint32_t, kPrecopyChunkSlots> values{};
 
-  void serialize(BinaryWriter& w) const;
-  static Result<CounterChunk> deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& c) {
+    io.u32(c.index);
+    io.u64(c.generation);
+    for (auto& a : c.active) io.boolean(a);
+    for (auto& v : c.values) io.u32(v);
+    io.require(c.index < kPrecopyChunkCount);
+  }
 };
 
 /// One (chunk index, generation) pair of the finalize manifest.
 struct ChunkManifestEntry {
   uint32_t index = 0;
   uint64_t generation = 0;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& e) {
+    io.u32(e.index);
+    io.u64(e.generation);
+    io.require(e.index < kPrecopyChunkCount);
+  }
 };
 
 /// Payload of kPrecopyRound (ML -> source ME).
-struct PrecopyRoundPayload {
+struct PrecopyRoundPayload : Record<PrecopyRoundPayload> {
   std::string destination_address;
   uint64_t request_nonce = 0;  // identifies the whole pre-copy attempt
   uint32_t round = 0;
@@ -291,15 +392,22 @@ struct PrecopyRoundPayload {
   MigrationPolicy policy;
   std::vector<CounterChunk> chunks;
 
-  Bytes serialize() const;
-  static Result<PrecopyRoundPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.str(p.destination_address, 256);
+    io.u64(p.request_nonce);
+    io.u32(p.round);
+    MigrationPolicy::layout(io, p.policy);
+    io.list(p.chunks, kPrecopyChunkCount);
+  }
 };
 
 /// Payload of kPrecopyFinalizeReq (ML -> source ME).  Sent after the
 /// library froze, epoch-invalidated its sealed lineage, and persisted the
 /// freeze flag; carries only the chunks dirtied since the last round (or
 /// everything staged, after a re-route to a fresh destination).
-struct PrecopyFinalizePayload {
+/// Its layout is the round payload's, then the manifest and the MSK.
+struct PrecopyFinalizePayload : Record<PrecopyFinalizePayload> {
   std::string destination_address;
   uint64_t request_nonce = 0;
   uint32_t round = 0;
@@ -308,24 +416,35 @@ struct PrecopyFinalizePayload {
   std::vector<ChunkManifestEntry> manifest;  // every chunk the dst must hold
   sgx::Key128 msk{};
 
-  Bytes serialize() const;
-  static Result<PrecopyFinalizePayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    PrecopyRoundPayload::layout(io, p);
+    io.list(p.manifest, kPrecopyChunkCount);
+    io.fixed(p.msk);
+  }
 };
 
 /// Payload of the kPrecopyChunk record (source ME -> destination ME).
-struct PrecopyChunkRecord {
+struct PrecopyChunkRecord : Record<PrecopyChunkRecord> {
   sgx::Measurement source_mr_enclave{};
   std::string source_me_address;
   uint64_t request_nonce = 0;
   uint32_t round = 0;
   std::vector<CounterChunk> chunks;
 
-  Bytes serialize() const;
-  static Result<PrecopyChunkRecord> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.fixed(p.source_mr_enclave);
+    io.str(p.source_me_address, 256);
+    io.u64(p.request_nonce);
+    io.u32(p.round);
+    io.list(p.chunks, kPrecopyChunkCount);
+  }
 };
 
-/// Payload of the kPrecopyFinalize record (source ME -> destination ME).
-struct PrecopyFinalizeRecord {
+/// Payload of the kPrecopyFinalize record (source ME -> destination ME):
+/// the chunk record's layout, then the manifest and the MSK.
+struct PrecopyFinalizeRecord : Record<PrecopyFinalizeRecord> {
   sgx::Measurement source_mr_enclave{};
   std::string source_me_address;
   uint64_t request_nonce = 0;
@@ -334,19 +453,17 @@ struct PrecopyFinalizeRecord {
   std::vector<ChunkManifestEntry> manifest;
   sgx::Key128 msk{};
 
-  Bytes serialize() const;
-  static Result<PrecopyFinalizeRecord> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    PrecopyChunkRecord::layout(io, p);
+    io.list(p.manifest, kPrecopyChunkCount);
+    io.fixed(p.msk);
+  }
 };
 
 /// Payload of the kReconcile record (pending-entry holder -> the pending
 /// entry's originating source ME, over a fresh RA channel).
-struct ReconcileQuery {
-  sgx::Measurement source_mr_enclave{};
-  uint64_t request_nonce = 0;
-
-  Bytes serialize() const;
-  static Result<ReconcileQuery> deserialize(ByteView bytes);
-};
+using ReconcileQuery = AbortRequest;
 
 /// Verdict of a reconcile query (u8 on the wire).
 enum class ReconcileVerdict : uint8_t {
@@ -354,10 +471,22 @@ enum class ReconcileVerdict : uint8_t {
   kSuperseded = 1,  // a newer transfer of the identity completed: expire
 };
 
+/// Sealed reply to a kReconcile record.
+struct ReconcileReply : Record<ReconcileReply> {
+  ReconcileVerdict verdict = ReconcileVerdict::kStillLive;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.magic("SGXMIG-RECON");
+    io.enumeration(r.verdict, ReconcileVerdict::kStillLive,
+                   ReconcileVerdict::kSuperseded);
+  }
+};
+
 // ----- inner ME <-> ME messages -----
 
 /// Payload of the kTransfer record.
-struct TransferPayload {
+struct TransferPayload : Record<TransferPayload> {
   sgx::Measurement source_mr_enclave{};
   std::string source_me_address;
   /// The library's request nonce, forwarded ME-to-ME so the destination
@@ -368,8 +497,25 @@ struct TransferPayload {
   uint64_t request_nonce = 0;
   MigrationData data;
 
-  Bytes serialize() const;
-  static Result<TransferPayload> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& p) {
+    io.fixed(p.source_mr_enclave);
+    io.str(p.source_me_address, 256);
+    io.u64(p.request_nonce);
+    io.nested(p.data, 1u << 20);
+  }
+};
+
+/// Sealed DONE record (destination ME -> source ME): the destination
+/// enclave confirmed `transfer_id`.
+struct DoneRecord : Record<DoneRecord> {
+  uint64_t transfer_id = 0;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.magic("SGXMIG-DONE");
+    io.u64(r.transfer_id);
+  }
 };
 
 // ----- cached-session resume (ME <-> ME) -----
@@ -388,34 +534,89 @@ struct TransferPayload {
 // refuse and the initiator fall back to the full msg1/msg3 handshake.
 
 /// Plaintext payload of kSessionResume (the MAC is the authenticator).
-struct SessionResumeRequest {
+struct SessionResumeRequest : Record<SessionResumeRequest> {
   std::string initiator_address;
   uint64_t responder_epoch = 0;  // epoch the initiator believes is current
   std::array<uint8_t, 16> nonce{};
   std::array<uint8_t, 16> mac{};  // CMAC(master, resume transcript)
 
-  Bytes serialize() const;
-  static Result<SessionResumeRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.str(r.initiator_address, 256);
+    io.u64(r.responder_epoch);
+    io.fixed(r.nonce);
+    io.fixed(r.mac);
+  }
 };
 
 /// Payload of the kSessionResume response.
-struct SessionResumeReply {
+struct SessionResumeReply : Record<SessionResumeReply> {
   std::array<uint8_t, 16> nonce{};
   std::array<uint8_t, 16> mac{};  // CMAC(master, reply transcript)
 
-  Bytes serialize() const;
-  static Result<SessionResumeReply> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.fixed(r.nonce);
+    io.fixed(r.mac);
+  }
 };
 
 /// Provider authentication attached to RA msg3 and its response: the
 /// machine credential plus a signature over the attestation transcript
 /// with the certified machine key (paper §V-B).
-struct ProviderAuth {
+struct ProviderAuth : Record<ProviderAuth> {
   platform::MachineCredential credential;
   crypto::Ed25519Signature transcript_signature{};
 
-  Bytes serialize() const;
-  static Result<ProviderAuth> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& a) {
+    platform::MachineCredential::layout(io, a.credential);
+    io.fixed(a.transcript_signature);
+  }
+};
+
+/// Payload of kRaMsg3: the RA msg3 and the initiator's ProviderAuth, each
+/// decoded by the responder only when its handshake step needs it.
+struct RaMsg3Bundle : Record<RaMsg3Bundle> {
+  Bytes msg3;
+  Bytes provider_auth;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& b) {
+    io.bytes(b.msg3, 1u << 16);
+    io.bytes(b.provider_auth, 1u << 16);
+  }
+};
+
+/// Payload of the kRaMsg3 response: the responder's ProviderAuth and its
+/// instance epoch (the key of cached-session resumes).
+struct RaMsg3Reply : Record<RaMsg3Reply> {
+  ProviderAuth provider_auth;
+  uint64_t responder_epoch = 0;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.nested(r.provider_auth, 1u << 16);
+    io.u64(r.responder_epoch);
+  }
+};
+
+/// A blob sealed by migratable sealing under the MSK (paper §VI-B): the
+/// AES-GCM IV and tag, the authenticated-only text and the ciphertext.
+struct MskSealedBlob : Record<MskSealedBlob> {
+  std::array<uint8_t, 12> iv{};
+  std::array<uint8_t, 16> tag{};
+  Bytes aad;
+  Bytes ciphertext;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& b) {
+    io.magic("SGXMIG-MSK-SEALED-v1");
+    io.fixed(b.iv);
+    io.fixed(b.tag);
+    io.bytes(b.aad, BinaryReader::kDefaultMaxLen);
+    io.bytes(b.ciphertext, BinaryReader::kDefaultMaxLen);
+  }
 };
 
 /// Message a machine key signs to authenticate an RA transcript.

@@ -5,11 +5,6 @@
 namespace sgxmig::net {
 
 namespace {
-// Direction tags keep the two halves of the duplex channel from ever
-// reusing an IV under the shared key.
-constexpr uint32_t kDirInitiatorToResponder = 0x49325200;  // "I2R"
-constexpr uint32_t kDirResponderToInitiator = 0x52324900;  // "R2I"
-
 std::array<uint8_t, 12> make_iv(uint32_t dir, uint64_t seq) {
   std::array<uint8_t, 12> iv{};
   store_be32(iv.data(), dir);
@@ -68,33 +63,18 @@ Result<Bytes> SecureChannel::open_record(ByteView record) {
 
 Bytes SecureChannel::serialize_state() const {
   BinaryWriter w;
-  w.raw(ByteView(key_.data(), key_.size()));
-  // The direction tags encode the role; storing both keeps the decoder
-  // free of role-inference logic.
-  w.u32(send_dir_);
-  w.u32(recv_dir_);
-  w.u64(send_seq_);
-  w.u64(recv_seq_);
+  layout(w, *this);
   return w.take();
 }
 
 Result<SecureChannel> SecureChannel::deserialize_state(ByteView blob) {
+  SecureChannel channel(sgx::Key128{}, Role::kInitiator);
   BinaryReader r(blob);
-  sgx::Key128 key = to_array<16>(r.raw(16));
-  const uint32_t send_dir = r.u32();
-  const uint32_t recv_dir = r.u32();
-  const uint64_t send_seq = r.u64();
-  const uint64_t recv_seq = r.u64();
-  if (!r.done()) return Status::kChannelError;
-  const bool initiator = send_dir == kDirInitiatorToResponder &&
-                         recv_dir == kDirResponderToInitiator;
-  const bool responder = send_dir == kDirResponderToInitiator &&
-                         recv_dir == kDirInitiatorToResponder;
-  if (!initiator && !responder) return Status::kChannelError;
-  SecureChannel channel(key, initiator ? Role::kInitiator : Role::kResponder);
-  channel.send_seq_ = send_seq;
-  channel.recv_seq_ = recv_seq;
-  secure_wipe(key.data(), key.size());
+  layout(r, channel);
+  if (!r.done()) {
+    secure_wipe(channel.key_.data(), channel.key_.size());
+    return Status::kChannelError;
+  }
   return channel;
 }
 

@@ -11,6 +11,7 @@
 #include "crypto/gcm.h"
 #include "sgx/types.h"
 #include "support/bytes.h"
+#include "support/serde.h"
 #include "support/status.h"
 
 namespace sgxmig::net {
@@ -40,7 +41,28 @@ class SecureChannel {
   Bytes serialize_state() const;
   static Result<SecureChannel> deserialize_state(ByteView blob);
 
+  /// The snapshot's layout.  Decoding overwrites a constructed channel in
+  /// place (no temporary holds the key); the direction tags encode the
+  /// role, so only the two real pairs are legal.
+  template <class Io, class Self>
+  static void layout(Io& io, Self& c) {
+    io.fixed(c.key_);
+    io.u32(c.send_dir_);
+    io.u32(c.recv_dir_);
+    io.u64(c.send_seq_);
+    io.u64(c.recv_seq_);
+    io.require((c.send_dir_ == kDirInitiatorToResponder &&
+                c.recv_dir_ == kDirResponderToInitiator) ||
+               (c.send_dir_ == kDirResponderToInitiator &&
+                c.recv_dir_ == kDirInitiatorToResponder));
+  }
+
  private:
+  // Direction tags keep the two halves of the duplex channel from ever
+  // reusing an IV under the shared key.
+  static constexpr uint32_t kDirInitiatorToResponder = 0x49325200;  // "I2R"
+  static constexpr uint32_t kDirResponderToInitiator = 0x52324900;  // "R2I"
+
   sgx::Key128 key_;
   uint32_t send_dir_;
   uint32_t recv_dir_;

@@ -25,8 +25,14 @@ struct MachineCredential {
   crypto::Ed25519PublicKey machine_public_key{};
   crypto::Ed25519Signature signature{};
 
-  void serialize(BinaryWriter& w) const;
-  static MachineCredential deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& c) {
+    io.str(c.address, 256);
+    io.str(c.region, 256);
+    io.u32(c.cpu_cores);
+    io.fixed(c.machine_public_key);
+    io.fixed(c.signature);
+  }
 };
 
 class ProviderCa {

@@ -5,54 +5,6 @@
 
 namespace sgxmig::sgx {
 
-Bytes DhMsg1::serialize() const {
-  BinaryWriter w;
-  w.fixed(responder_public);
-  w.fixed(responder_target.mr_enclave);
-  return w.take();
-}
-
-Result<DhMsg1> DhMsg1::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  DhMsg1 m;
-  m.responder_public = r.fixed<32>();
-  m.responder_target.mr_enclave = r.fixed<32>();
-  if (!r.done()) return Status::kTampered;
-  return m;
-}
-
-Bytes DhMsg2::serialize() const {
-  BinaryWriter w;
-  w.fixed(initiator_public);
-  w.bytes(initiator_report.serialize());
-  return w.take();
-}
-
-Result<DhMsg2> DhMsg2::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  DhMsg2 m;
-  m.initiator_public = r.fixed<32>();
-  auto report = Report::deserialize(r.bytes(1024));
-  if (!r.done() || !report.ok()) return Status::kTampered;
-  m.initiator_report = std::move(report).value();
-  return m;
-}
-
-Bytes DhMsg3::serialize() const {
-  BinaryWriter w;
-  w.bytes(responder_report.serialize());
-  return w.take();
-}
-
-Result<DhMsg3> DhMsg3::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  DhMsg3 m;
-  auto report = Report::deserialize(r.bytes(1024));
-  if (!r.done() || !report.ok()) return Status::kTampered;
-  m.responder_report = std::move(report).value();
-  return m;
-}
-
 DhSession::DhSession(PlatformIface& platform, const EnclaveIdentity& self,
                      Role role)
     : platform_(platform), self_(self), role_(role) {

@@ -21,27 +21,35 @@
 
 namespace sgxmig::sgx {
 
-struct DhMsg1 {
+struct DhMsg1 : Record<DhMsg1> {
   crypto::X25519Key responder_public{};
   TargetInfo responder_target;
 
-  Bytes serialize() const;
-  static Result<DhMsg1> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.fixed(m.responder_public);
+    io.fixed(m.responder_target.mr_enclave);
+  }
 };
 
-struct DhMsg2 {
+struct DhMsg2 : Record<DhMsg2> {
   crypto::X25519Key initiator_public{};
   Report initiator_report;
 
-  Bytes serialize() const;
-  static Result<DhMsg2> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.fixed(m.initiator_public);
+    io.nested(m.initiator_report, 1024);
+  }
 };
 
-struct DhMsg3 {
+struct DhMsg3 : Record<DhMsg3> {
   Report responder_report;
 
-  Bytes serialize() const;
-  static Result<DhMsg3> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.nested(m.responder_report, 1024);
+  }
 };
 
 /// One side of a local-attestation session.  Instantiate inside the

@@ -4,20 +4,6 @@
 
 namespace sgxmig::sgx {
 
-void EpidMemberCredential::serialize(BinaryWriter& w) const {
-  w.u32(group_id);
-  w.fixed(member_public_key);
-  w.fixed(membership_certificate);
-}
-
-EpidMemberCredential EpidMemberCredential::deserialize(BinaryReader& r) {
-  EpidMemberCredential c;
-  c.group_id = r.u32();
-  c.member_public_key = r.fixed<32>();
-  c.membership_certificate = r.fixed<64>();
-  return c;
-}
-
 EpidAuthority::EpidAuthority(uint64_t seed)
     : group_key_(crypto::Ed25519KeyPair::from_seed(crypto::Sha256::hash(
           to_bytes("epid-group-key:" + std::to_string(seed))))),

@@ -26,8 +26,12 @@ struct EpidMemberCredential {
   crypto::Ed25519PublicKey member_public_key{};
   crypto::Ed25519Signature membership_certificate{};
 
-  void serialize(BinaryWriter& w) const;
-  static EpidMemberCredential deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& c) {
+    io.u32(c.group_id);
+    io.fixed(c.member_public_key);
+    io.fixed(c.membership_certificate);
+  }
 };
 
 /// A platform's provisioned EPID identity: the credential plus the member

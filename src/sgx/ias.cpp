@@ -12,24 +12,6 @@ Bytes VerificationReport::signed_message() const {
   return w.take();
 }
 
-Bytes VerificationReport::serialize() const {
-  BinaryWriter w;
-  w.u8(static_cast<uint8_t>(verdict));
-  w.bytes(quote_body);
-  w.fixed(ias_signature);
-  return w.take();
-}
-
-Result<VerificationReport> VerificationReport::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  VerificationReport report;
-  report.verdict = static_cast<IasVerdict>(r.u8());
-  report.quote_body = r.bytes();
-  report.ias_signature = r.fixed<64>();
-  if (!r.done()) return Status::kTampered;
-  return report;
-}
-
 bool VerificationReport::verify(const crypto::Ed25519PublicKey& ias_key) const {
   return crypto::ed25519_verify(ias_key, signed_message(), ias_signature);
 }

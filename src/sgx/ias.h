@@ -22,13 +22,17 @@ enum class IasVerdict : uint8_t {
   kUnknownGroup = 3,
 };
 
-struct VerificationReport {
+struct VerificationReport : Record<VerificationReport> {
   IasVerdict verdict = IasVerdict::kSignatureInvalid;
   Bytes quote_body;  // serialized ReportBody the verdict covers
   crypto::Ed25519Signature ias_signature{};
 
-  Bytes serialize() const;
-  static Result<VerificationReport> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.u8(r.verdict);
+    io.bytes(r.quote_body, BinaryReader::kDefaultMaxLen);
+    io.fixed(r.ias_signature);
+  }
   Bytes signed_message() const;
 
   /// Verifies the IAS signature against a pinned IAS key.

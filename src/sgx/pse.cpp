@@ -4,18 +4,6 @@
 
 namespace sgxmig::sgx {
 
-void serialize_uuid(BinaryWriter& w, const CounterUuid& uuid) {
-  w.u32(uuid.counter_id);
-  w.fixed(uuid.nonce);
-}
-
-CounterUuid deserialize_uuid(BinaryReader& r) {
-  CounterUuid uuid;
-  uuid.counter_id = r.u32();
-  uuid.nonce = r.fixed<12>();
-  return uuid;
-}
-
 Result<CreatedCounter> MonotonicCounterService::create(
     const Measurement& owner, ByteView nonce_entropy) {
   if (count_for(owner) >= kMaxCountersPerEnclave) {

@@ -26,24 +26,34 @@ enum class PseOp : uint8_t {
   kRetireAll = 5,
 };
 
-struct PseRequest {
+struct PseRequest : Record<PseRequest> {
   PseOp op = PseOp::kRead;
   Measurement owner{};
   crypto::CmacTag session_token{};
   CounterUuid uuid{};        // ignored for kCreate
   Bytes nonce_entropy;       // only for kCreate
 
-  Bytes serialize() const;
-  static Result<PseRequest> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.enumeration(r.op, PseOp::kCreate, PseOp::kRetireAll);
+    io.fixed(r.owner);
+    io.fixed(r.session_token);
+    CounterUuid::layout(io, r.uuid);
+    io.bytes(r.nonce_entropy, 64);
+  }
 };
 
-struct PseResponse {
+struct PseResponse : Record<PseResponse> {
   Status status = Status::kUnexpected;
   CounterUuid uuid{};   // for kCreate
   uint32_t value = 0;   // for kCreate/kRead/kIncrement
 
-  Bytes serialize() const;
-  static Result<PseResponse> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    io.u32(r.status);
+    CounterUuid::layout(io, r.uuid);
+    io.u32(r.value);
+  }
 };
 
 /// Session token binding `owner` to this machine's PSE.

@@ -15,13 +15,17 @@
 
 namespace sgxmig::sgx {
 
-struct Quote {
+struct Quote : Record<Quote> {
   ReportBody body;          // identity + report_data of the prover
   EpidMemberCredential credential;
   crypto::Ed25519Signature signature{};  // member key over the body
 
-  Bytes serialize() const;
-  static Result<Quote> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& q) {
+    ReportBody::layout(io, q.body);
+    EpidMemberCredential::layout(io, q.credential);
+    io.fixed(q.signature);
+  }
   Bytes signed_message() const;
 };
 

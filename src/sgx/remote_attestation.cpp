@@ -5,50 +5,6 @@
 
 namespace sgxmig::sgx {
 
-Bytes RaMsg1::serialize() const {
-  BinaryWriter w;
-  w.fixed(initiator_public);
-  return w.take();
-}
-
-Result<RaMsg1> RaMsg1::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  RaMsg1 m;
-  m.initiator_public = r.fixed<32>();
-  if (!r.done()) return Status::kTampered;
-  return m;
-}
-
-Bytes RaMsg2::serialize() const {
-  BinaryWriter w;
-  w.fixed(responder_public);
-  w.bytes(responder_quote);
-  return w.take();
-}
-
-Result<RaMsg2> RaMsg2::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  RaMsg2 m;
-  m.responder_public = r.fixed<32>();
-  m.responder_quote = r.bytes(4096);
-  if (!r.done()) return Status::kTampered;
-  return m;
-}
-
-Bytes RaMsg3::serialize() const {
-  BinaryWriter w;
-  w.bytes(initiator_quote);
-  return w.take();
-}
-
-Result<RaMsg3> RaMsg3::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  RaMsg3 m;
-  m.initiator_quote = r.bytes(4096);
-  if (!r.done()) return Status::kTampered;
-  return m;
-}
-
 RaSession::RaSession(PlatformIface& platform, const EnclaveIdentity& self,
                      Role role)
     : platform_(platform), self_(self), role_(role) {

@@ -19,26 +19,33 @@
 
 namespace sgxmig::sgx {
 
-struct RaMsg1 {
+struct RaMsg1 : Record<RaMsg1> {
   crypto::X25519Key initiator_public{};
 
-  Bytes serialize() const;
-  static Result<RaMsg1> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.fixed(m.initiator_public);
+  }
 };
 
-struct RaMsg2 {
+struct RaMsg2 : Record<RaMsg2> {
   crypto::X25519Key responder_public{};
   Bytes responder_quote;  // serialized Quote
 
-  Bytes serialize() const;
-  static Result<RaMsg2> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.fixed(m.responder_public);
+    io.bytes(m.responder_quote, 4096);
+  }
 };
 
-struct RaMsg3 {
+struct RaMsg3 : Record<RaMsg3> {
   Bytes initiator_quote;  // serialized Quote
 
-  Bytes serialize() const;
-  static Result<RaMsg3> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.bytes(m.initiator_quote, 4096);
+  }
 };
 
 class RaSession {

@@ -2,36 +2,6 @@
 
 namespace sgxmig::sgx {
 
-Bytes ReportBody::serialize() const {
-  BinaryWriter w;
-  serialize_identity(w, identity);
-  w.fixed(report_data);
-  return w.take();
-}
-
-ReportBody ReportBody::deserialize(BinaryReader& r) {
-  ReportBody body;
-  body.identity = deserialize_identity(r);
-  body.report_data = r.fixed<64>();
-  return body;
-}
-
-Bytes Report::serialize() const {
-  BinaryWriter w;
-  w.raw(body.serialize());
-  w.fixed(mac);
-  return w.take();
-}
-
-Result<Report> Report::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  Report report;
-  report.body = ReportBody::deserialize(r);
-  report.mac = r.fixed<16>();
-  if (!r.done()) return Status::kTampered;
-  return report;
-}
-
 Report create_report(const SimCpu& cpu, const EnclaveIdentity& self,
                      const TargetInfo& target, const ReportData& data) {
   Report report;

@@ -14,20 +14,26 @@
 
 namespace sgxmig::sgx {
 
-struct ReportBody {
+struct ReportBody : Record<ReportBody> {
   EnclaveIdentity identity;
   ReportData report_data{};
 
-  Bytes serialize() const;
-  static ReportBody deserialize(BinaryReader& r);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& b) {
+    EnclaveIdentity::layout(io, b.identity);
+    io.fixed(b.report_data);
+  }
 };
 
-struct Report {
+struct Report : Record<Report> {
   ReportBody body;
   crypto::CmacTag mac{};
 
-  Bytes serialize() const;
-  static Result<Report> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& r) {
+    ReportBody::layout(io, r.body);
+    io.fixed(r.mac);
+  }
 };
 
 /// EREPORT: creates a report of `self` targeted at `target`, MACed with the

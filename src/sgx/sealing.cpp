@@ -16,6 +16,27 @@ Bytes gcm_aad(KeyPolicy policy, const KeyId& key_id, ByteView user_aad) {
   w.bytes(user_aad);
   return w.take();
 }
+
+// The sealed blob on untrusted storage.
+struct SealedBlob : Record<SealedBlob> {
+  KeyPolicy policy = KeyPolicy::kMrEnclave;
+  KeyId key_id{};
+  Bytes aad;
+  std::array<uint8_t, 12> iv{};
+  std::array<uint8_t, 16> tag{};
+  Bytes ciphertext;
+
+  template <class Io, class Self>
+  static void layout(Io& io, Self& b) {
+    io.magic(kMagic);
+    io.enumeration(b.policy, KeyPolicy::kMrEnclave, KeyPolicy::kMrSigner);
+    io.fixed(b.key_id);
+    io.bytes(b.aad, BinaryReader::kDefaultMaxLen);
+    io.fixed(b.iv);
+    io.fixed(b.tag);
+    io.bytes(b.ciphertext, BinaryReader::kDefaultMaxLen);
+  }
+};
 }  // namespace
 
 size_t sealed_blob_size(size_t aad_len, size_t plaintext_len) {
@@ -34,19 +55,17 @@ Result<Bytes> seal_with_key(const Key128& key, const KeyId& key_id,
   Bytes iv(crypto::kGcmIvSize);
   drbg.generate(iv.data(), iv.size());
 
-  const crypto::GcmCiphertext ct =
+  crypto::GcmCiphertext ct =
       crypto::gcm_encrypt(ByteView(key.data(), key.size()), iv,
                           gcm_aad(policy, key_id, aad), plaintext);
-
-  BinaryWriter w;
-  w.str(kMagic);
-  w.u16(static_cast<uint16_t>(policy));
-  w.fixed(key_id);
-  w.bytes(aad);
-  w.fixed(ct.iv);
-  w.fixed(ct.tag);
-  w.bytes(ct.ciphertext);
-  return w.take();
+  SealedBlob blob;
+  blob.policy = policy;
+  blob.key_id = key_id;
+  blob.aad.assign(aad.begin(), aad.end());
+  blob.iv = ct.iv;
+  blob.tag = ct.tag;
+  blob.ciphertext = std::move(ct.ciphertext);
+  return blob.serialize();
 }
 }  // namespace
 
@@ -73,31 +92,21 @@ Result<Bytes> SealContext::seal(ByteView aad, ByteView plaintext) {
 Result<UnsealedData> unseal_data(const SimCpu& cpu,
                                  const EnclaveIdentity& self,
                                  ByteView sealed_blob) {
-  BinaryReader r(sealed_blob);
-  const std::string magic = r.str(64);
-  const uint16_t policy_raw = r.u16();
-  const KeyId key_id = r.fixed<32>();
-  const Bytes aad = r.bytes();
-  const auto iv = r.fixed<12>();
-  const auto tag = r.fixed<16>();
-  const Bytes ciphertext = r.bytes();
-  if (!r.done() || magic != kMagic) return Status::kTampered;
-  if (policy_raw != static_cast<uint16_t>(KeyPolicy::kMrEnclave) &&
-      policy_raw != static_cast<uint16_t>(KeyPolicy::kMrSigner)) {
-    return Status::kTampered;
-  }
-  const auto policy = static_cast<KeyPolicy>(policy_raw);
-
-  const Key128 key = cpu.get_key(KeyName::kSeal, policy, self, key_id);
+  auto parsed = SealedBlob::deserialize(sealed_blob);
+  if (!parsed.ok()) return parsed.status();
+  SealedBlob& blob = parsed.value();
+  const Key128 key =
+      cpu.get_key(KeyName::kSeal, blob.policy, self, blob.key_id);
   auto plaintext = crypto::gcm_decrypt(
-      ByteView(key.data(), key.size()), ByteView(iv.data(), iv.size()),
-      gcm_aad(policy, key_id, aad), ciphertext,
-      ByteView(tag.data(), tag.size()));
+      ByteView(key.data(), key.size()),
+      ByteView(blob.iv.data(), blob.iv.size()),
+      gcm_aad(blob.policy, blob.key_id, blob.aad), blob.ciphertext,
+      ByteView(blob.tag.data(), blob.tag.size()));
   if (!plaintext.ok()) return plaintext.status();
 
   UnsealedData out;
   out.plaintext = std::move(plaintext).value();
-  out.aad = aad;
+  out.aad = std::move(blob.aad);
   return out;
 }
 

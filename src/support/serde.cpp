@@ -23,12 +23,12 @@ void BinaryWriter::u64(uint64_t v) {
 
 void BinaryWriter::boolean(bool v) { u8(v ? 1 : 0); }
 
-void BinaryWriter::bytes(ByteView v) {
+void BinaryWriter::bytes(ByteView v, size_t /*max_len*/) {
   u32(static_cast<uint32_t>(v.size()));
   raw(v);
 }
 
-void BinaryWriter::str(std::string_view v) {
+void BinaryWriter::str(std::string_view v, size_t /*max_len*/) {
   u32(static_cast<uint32_t>(v.size()));
   buffer_.insert(buffer_.end(), v.begin(), v.end());
 }

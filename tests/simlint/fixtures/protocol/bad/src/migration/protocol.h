@@ -17,3 +17,16 @@ enum class LibMsgType : uint8_t {
   kIgnored = 4,  // seeded: protocol-consume (library never inspects it)
   kSecret = 5,   // seeded: protocol-untested (no mention under tests/)
 };
+
+// Byte formats: one pinned by the WireGolden table, one not.
+struct Pinned {
+  uint64_t id = 0;
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) { io.u64(m.id); }
+};
+
+struct Unpinned {  // seeded: protocol-record-golden (no WireGolden row)
+  uint64_t id = 0;
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) { io.u64(m.id); }
+};

@@ -14,3 +14,8 @@ int coverage() {
   sum += static_cast<int>(LibMsgType::kIgnored);
   return sum;
 }
+
+// The WireGolden table names Pinned but not Unpinned.
+int wire_golden_table() {
+  return static_cast<int>(sizeof(Pinned));
+}

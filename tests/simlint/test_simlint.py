@@ -91,6 +91,14 @@ def test_protocol_catches_each_seeded_rule():
             f"expected [{rule}] naming {needle}:\n{result.stdout}"
 
 
+def test_protocol_record_golden_flags_unpinned_layout():
+    result = run(*_protocol_args(FIXTURES / "protocol" / "bad"))
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert re.search(r"\[protocol-record-golden\].*Unpinned", result.stdout), \
+        result.stdout
+    assert "record Pinned" not in result.stdout, result.stdout
+
+
 def test_protocol_allow_comments_suppress():
     result = run(*_protocol_args(FIXTURES / "protocol" / "ok"))
     assert result.returncode == 0, result.stdout + result.stderr

@@ -131,6 +131,13 @@ TEST(ProtocolSerde, MeRequestRoundTripsEveryType) {
     ASSERT_TRUE(back.ok()) << "type " << static_cast<int>(type);
     EXPECT_EQ(back.value().type, type);
   }
+  // The decoder bounds the type by the enum's first and last enumerator.
+  MeRequest req;
+  Bytes bytes = req.serialize();
+  bytes[0] = static_cast<uint8_t>(MeMsgType::kSessionResume) + 1;
+  EXPECT_FALSE(MeRequest::deserialize(bytes).ok());
+  bytes[0] = static_cast<uint8_t>(MeMsgType::kLaStart) - 1;
+  EXPECT_FALSE(MeRequest::deserialize(bytes).ok());
 }
 
 TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
@@ -157,6 +164,33 @@ TEST(ProtocolSerde, LibMsgRoundTripsEveryType) {
     EXPECT_EQ(back.value().type, type);
     EXPECT_EQ(back.value().payload, msg.payload);
   }
+  // The enums the LibMsg payloads carry are bounded by their last
+  // enumerator: every one decodes, one past the last is rejected.
+  for (const TransferProgress progress :
+       {TransferProgress::kNone, TransferProgress::kInFlight,
+        TransferProgress::kAccepted, TransferProgress::kFailed,
+        TransferProgress::kSlotLive}) {
+    TransferProgressPayload payload;
+    payload.progress = progress;
+    auto back = TransferProgressPayload::deserialize(payload.serialize());
+    ASSERT_TRUE(back.ok()) << static_cast<int>(progress);
+    EXPECT_EQ(back.value().progress, progress);
+  }
+  Bytes progress_bytes = TransferProgressPayload{}.serialize();
+  progress_bytes[0] = static_cast<uint8_t>(TransferProgress::kSlotLive) + 1;
+  EXPECT_FALSE(TransferProgressPayload::deserialize(progress_bytes).ok());
+  for (const OutgoingState state :
+       {OutgoingState::kNone, OutgoingState::kPending,
+        OutgoingState::kCompleted}) {
+    StatusReport report;
+    report.state = state;
+    auto back = StatusReport::deserialize(report.serialize());
+    ASSERT_TRUE(back.ok()) << static_cast<int>(state);
+    EXPECT_EQ(back.value().state, state);
+  }
+  Bytes report_bytes = StatusReport{}.serialize();
+  report_bytes[0] = static_cast<uint8_t>(OutgoingState::kCompleted) + 1;
+  EXPECT_FALSE(StatusReport::deserialize(report_bytes).ok());
 }
 
 TEST(ProtocolSerde, QueryStatusPayloadRoundTrip) {
@@ -447,21 +481,22 @@ WireRow record_row(std::string name, const T& sample, bool canonical = true,
           std::move(legal_prefixes)};
 }
 
-// Formats whose codec is a writer/reader pair without a ByteView entry
-// point: the row frames one value and demands the whole input be used.
-template <class T, class Write, class Read>
-WireRow framed_row(std::string name, const T& sample, Write write, Read read,
-                   bool canonical = true) {
-  BinaryWriter w;
-  write(w, sample);
-  return {std::move(name), w.take(),
-          [write, read](ByteView bytes) -> std::optional<Bytes> {
+// Formats that only travel inside other records: the row frames one
+// value with its layout and demands the whole input be used.
+template <class T>
+WireRow layout_row(std::string name, const T& sample, bool canonical = true) {
+  const auto encode = [](const T& value) {
+    BinaryWriter w;
+    T::layout(w, value);
+    return w.take();
+  };
+  return {std::move(name), encode(sample),
+          [encode](ByteView bytes) -> std::optional<Bytes> {
             BinaryReader r(bytes);
-            std::optional<T> value = read(r);
-            if (!value.has_value() || !r.done()) return std::nullopt;
-            BinaryWriter out;
-            write(out, *value);
-            return out.take();
+            T value;
+            T::layout(r, value);
+            if (!r.done()) return std::nullopt;
+            return encode(value);
           },
           canonical,
           {}};
@@ -523,29 +558,8 @@ std::vector<WireRow> wire_golden_table() {
   // An empty query is the per-identity status query.
   rows.push_back(record_row("QueryStatusPayload", query, true, {0}));
 
-  rows.push_back(framed_row(
-      "CounterChunk", sample_chunk(3),
-      [](BinaryWriter& w, const CounterChunk& c) { c.serialize(w); },
-      [](BinaryReader& r) -> std::optional<CounterChunk> {
-        auto c = CounterChunk::deserialize(r);
-        if (!c.ok()) return std::nullopt;
-        return c.value();
-      },
-      false));
-
-  rows.push_back(framed_row(
-      "ChunkManifestEntry", ChunkManifestEntry{7, 0x77},
-      [](BinaryWriter& w, const ChunkManifestEntry& e) {
-        w.u32(e.index);
-        w.u64(e.generation);
-      },
-      [](BinaryReader& r) -> std::optional<ChunkManifestEntry> {
-        ChunkManifestEntry e;
-        e.index = r.u32();
-        e.generation = r.u64();
-        if (e.index >= kPrecopyChunkCount) return std::nullopt;
-        return e;
-      }));
+  rows.push_back(layout_row("CounterChunk", sample_chunk(3), false));
+  rows.push_back(layout_row("ChunkManifestEntry", ChunkManifestEntry{7, 0x77}));
 
   PrecopyRoundPayload round;
   round.destination_address = "m4";
@@ -609,186 +623,46 @@ std::vector<WireRow> wire_golden_table() {
 
   rows.push_back(record_row("ProviderAuth", sample_auth()));
 
-  rows.push_back(framed_row(
-      "MachineCredential", sample_credential(),
-      [](BinaryWriter& w, const platform::MachineCredential& c) {
-        c.serialize(w);
-      },
-      [](BinaryReader& r) -> std::optional<platform::MachineCredential> {
-        return platform::MachineCredential::deserialize(r);
-      }));
+  rows.push_back(layout_row("MachineCredential", sample_credential()));
+  rows.push_back(record_row("MigrationPolicy", sample_policy()));
 
-  rows.push_back(framed_row(
-      "MigrationPolicy", sample_policy(),
-      [](BinaryWriter& w, const MigrationPolicy& p) { p.serialize(w); },
-      [](BinaryReader& r) -> std::optional<MigrationPolicy> {
-        auto p = MigrationPolicy::deserialize(r);
-        if (!p.ok()) return std::nullopt;
-        return p.value();
-      }));
-
-  // Ad-hoc payloads: the byte layouts the ME and the library exchange
-  // inside LA and RA records.
-  {
-    BinaryWriter w;  // fetch reply: data, delivery token, attempt nonce
-    w.bytes(sample_data().serialize());
-    w.u64(0xbbbb);
-    w.u64(0xcccc);
-    WireRow row{"FetchReply", w.take(),
-                [](ByteView bytes) -> std::optional<Bytes> {
-                  BinaryReader r(bytes);
-                  const Bytes data = r.bytes(1u << 20);
-                  const uint64_t token = r.u64();
-                  const uint64_t nonce = r.done() ? 0 : r.u64();
-                  if (!r.done()) return std::nullopt;
-                  auto parsed = MigrationData::deserialize(data);
-                  if (!parsed.ok()) return std::nullopt;
-                  BinaryWriter out;
-                  out.bytes(parsed.value().serialize());
-                  out.u64(token);
-                  out.u64(nonce);
-                  return out.take();
-                },
-                false,
-                // Older readers tolerate an absent attempt nonce.
-                {sample_data().serialize().size() + 4 + 8}};
-    rows.push_back(std::move(row));
-  }
-  {
-    BinaryWriter w;  // confirm: the delivery token
-    w.u64(0xdddd);
-    rows.push_back({"ConfirmPayload", w.take(),
-                    [](ByteView bytes) -> std::optional<Bytes> {
-                      BinaryWriter out;
-                      if (bytes.empty()) return out.take();
-                      BinaryReader r(bytes);
-                      const uint64_t token = r.u64();
-                      if (!r.done()) return std::nullopt;
-                      out.u64(token);
-                      return out.take();
-                    },
-                    true,
-                    // An empty confirm is the session-pinned confirm.
-                    {0}});
-  }
-  {
-    BinaryWriter w;  // status report: one OutgoingState byte
-    w.u8(static_cast<uint8_t>(OutgoingState::kPending));
-    rows.push_back({"StatusReport", w.take(),
-                    [](ByteView bytes) -> std::optional<Bytes> {
-                      BinaryReader r(bytes);
-                      const uint8_t state = r.u8();
-                      if (!r.done() || state > 2) return std::nullopt;
-                      BinaryWriter out;
-                      out.u8(state);
-                      return out.take();
-                    },
-                    true,
-                    {}});
-  }
-  const auto marked_row = [](std::string name, const char* marker,
-                             bool id_is_u64, uint64_t value,
-                             uint8_t max_verdict) {
-    BinaryWriter w;
-    w.str(marker);
-    if (id_is_u64) {
-      w.u64(value);
-    } else {
-      w.u8(static_cast<uint8_t>(value));
-    }
-    return WireRow{
-        std::move(name), w.take(),
-        [marker, id_is_u64, max_verdict](ByteView bytes)
-            -> std::optional<Bytes> {
-          BinaryReader r(bytes);
-          const std::string got = r.str(64);
-          const uint64_t v = id_is_u64 ? r.u64() : r.u8();
-          if (!r.done() || got != marker) return std::nullopt;
-          if (!id_is_u64 && v > max_verdict) return std::nullopt;
-          BinaryWriter out;
-          out.str(got);
-          if (id_is_u64) {
-            out.u64(v);
-          } else {
-            out.u8(static_cast<uint8_t>(v));
-          }
-          return out.take();
-        },
-        true,
-        {}};
-  };
-  rows.push_back(marked_row("DoneRecord", "SGXMIG-DONE", true, 0xeeee, 0));
-  rows.push_back(marked_row("AbortVerdict", "SGXMIG-ABORT", false, 1, 1));
-  rows.push_back(marked_row("ReconcileVerdictRecord", "SGXMIG-RECON", false,
-                            static_cast<uint8_t>(ReconcileVerdict::kSuperseded),
-                            1));
-  {
-    sgx::RaMsg3 msg3;
-    msg3.initiator_quote = sample_quote().serialize();
-    BinaryWriter w;  // RA msg3 + the initiator's provider auth
-    w.bytes(msg3.serialize());
-    w.bytes(sample_auth().serialize());
-    rows.push_back({"RaMsg3Bundle", w.take(),
-                    [](ByteView bytes) -> std::optional<Bytes> {
-                      BinaryReader r(bytes);
-                      const Bytes msg3_bytes = r.bytes(1u << 16);
-                      const Bytes auth = r.bytes(1u << 16);
-                      if (!r.done()) return std::nullopt;
-                      BinaryWriter out;
-                      out.bytes(msg3_bytes);
-                      out.bytes(auth);
-                      return out.take();
-                    },
-                    true,
-                    {}});
-  }
-  {
-    BinaryWriter w;  // msg3 reply: the responder's provider auth + epoch
-    w.bytes(sample_auth().serialize());
-    w.u64(0xf0f0);
-    rows.push_back({"RaMsg3Reply", w.take(),
-                    [](ByteView bytes) -> std::optional<Bytes> {
-                      BinaryReader r(bytes);
-                      auto auth = ProviderAuth::deserialize(r.bytes(1u << 16));
-                      const uint64_t epoch = r.u64();
-                      if (!auth.ok() || !r.done()) return std::nullopt;
-                      BinaryWriter out;
-                      out.bytes(auth.value().serialize());
-                      out.u64(epoch);
-                      return out.take();
-                    },
-                    true,
-                    {}});
-  }
-  {
-    BinaryWriter w;  // migratable-sealed blob under the MSK
-    w.str("SGXMIG-MSK-SEALED-v1");
-    w.fixed(pattern<12>(0x80));
-    w.fixed(pattern<16>(0x81));
-    w.bytes(to_bytes(std::string_view("aad")));
-    w.bytes(to_bytes(std::string_view("ciphertext")));
-    rows.push_back({"MskSealedBlob", w.take(),
-                    [](ByteView bytes) -> std::optional<Bytes> {
-                      BinaryReader r(bytes);
-                      if (r.str(64) != "SGXMIG-MSK-SEALED-v1") {
-                        return std::nullopt;
-                      }
-                      const auto iv = r.fixed<12>();
-                      const auto tag = r.fixed<16>();
-                      const Bytes aad = r.bytes();
-                      const Bytes ciphertext = r.bytes();
-                      if (!r.done()) return std::nullopt;
-                      BinaryWriter out;
-                      out.str("SGXMIG-MSK-SEALED-v1");
-                      out.fixed(iv);
-                      out.fixed(tag);
-                      out.bytes(aad);
-                      out.bytes(ciphertext);
-                      return out.take();
-                    },
-                    true,
-                    {}});
-  }
+  // Payloads the ME and the library exchange inside LA and RA records.
+  FetchReply fetch;
+  fetch.data = sample_data();
+  fetch.delivery_token = 0xbbbb;
+  fetch.request_nonce = 0xcccc;
+  rows.push_back(record_row("FetchReply", fetch, false));
+  ConfirmPayload confirm;
+  confirm.delivery_token = 0xdddd;
+  rows.push_back(record_row("ConfirmPayload", confirm));
+  StatusReport status_report;
+  status_report.state = OutgoingState::kPending;
+  rows.push_back(record_row("StatusReport", status_report));
+  DoneRecord done;
+  done.transfer_id = 0xeeee;
+  rows.push_back(record_row("DoneRecord", done));
+  AbortVerdict abort_verdict;
+  abort_verdict.safe = 1;
+  rows.push_back(record_row("AbortVerdict", abort_verdict));
+  ReconcileReply reconcile_reply;
+  reconcile_reply.verdict = ReconcileVerdict::kSuperseded;
+  rows.push_back(record_row("ReconcileVerdictRecord", reconcile_reply));
+  RaMsg3Bundle bundle;
+  sgx::RaMsg3 bundled_msg3;
+  bundled_msg3.initiator_quote = sample_quote().serialize();
+  bundle.msg3 = bundled_msg3.serialize();
+  bundle.provider_auth = sample_auth().serialize();
+  rows.push_back(record_row("RaMsg3Bundle", bundle));
+  RaMsg3Reply msg3_reply;
+  msg3_reply.provider_auth = sample_auth();
+  msg3_reply.responder_epoch = 0xf0f0;
+  rows.push_back(record_row("RaMsg3Reply", msg3_reply));
+  MskSealedBlob sealed_blob;
+  sealed_blob.iv = pattern<12>(0x80);
+  sealed_blob.tag = pattern<16>(0x81);
+  sealed_blob.aad = to_bytes(std::string_view("aad"));
+  sealed_blob.ciphertext = to_bytes(std::string_view("ciphertext"));
+  rows.push_back(record_row("MskSealedBlob", sealed_blob));
 
   // Durable formats outside the protocol.
   rows.push_back(record_row("MigrationData", sample_data(), false));
