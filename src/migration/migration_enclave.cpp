@@ -1797,7 +1797,15 @@ void MigrationEnclave::precopy_on_ack(
     // kPrecopyIncomplete included: the next kick re-attests and re-ships
     // the full merged set.  The dropped channel and resync flag are
     // persisted, so an ME restart resumes the merged state.
+    const bool shipped_all = precopy.unacked().size() == precopy.merged.size();
     fail_task(nonce, verdict);
+    if (finalize && verdict == Status::kPrecopyIncomplete && shipped_all) {
+      // That record already carried the whole merged set, so a resync
+      // re-ships the same set and misses the manifest again: hand the
+      // finalize back to the library at once, which re-ships its staged
+      // set, instead of spending the ship budget.
+      precopy.staged_finalize.reset();
+    }
     persist_queue();
     return;
   }
