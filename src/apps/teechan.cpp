@@ -27,30 +27,6 @@ Bytes PaymentMessage::signed_message() const {
   return w.take();
 }
 
-Bytes PaymentMessage::serialize() const {
-  BinaryWriter w;
-  w.u64(channel_id);
-  w.u32(sequence);
-  w.u64(balance_a);
-  w.u64(balance_b);
-  w.fixed(sender);
-  w.fixed(signature);
-  return w.take();
-}
-
-Result<PaymentMessage> PaymentMessage::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  PaymentMessage m;
-  m.channel_id = r.u64();
-  m.sequence = r.u32();
-  m.balance_a = r.u64();
-  m.balance_b = r.u64();
-  m.sender = r.fixed<32>();
-  m.signature = r.fixed<64>();
-  if (!r.done()) return Status::kTampered;
-  return m;
-}
-
 Bytes SettlementMessage::signed_message() const {
   BinaryWriter w;
   w.str(kSettlementLabel);

@@ -13,10 +13,11 @@
 
 #include "crypto/ed25519.h"
 #include "migration/migratable_enclave.h"
+#include "support/serde.h"
 
 namespace sgxmig::apps {
 
-struct PaymentMessage {
+struct PaymentMessage : Record<PaymentMessage> {
   uint64_t channel_id = 0;
   uint32_t sequence = 0;    // strictly increasing per channel
   uint64_t balance_a = 0;   // post-payment balances
@@ -24,8 +25,15 @@ struct PaymentMessage {
   crypto::Ed25519PublicKey sender{};
   crypto::Ed25519Signature signature{};
 
-  Bytes serialize() const;
-  static Result<PaymentMessage> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& m) {
+    io.u64(m.channel_id);
+    io.u32(m.sequence);
+    io.u64(m.balance_a);
+    io.u64(m.balance_b);
+    io.fixed(m.sender);
+    io.fixed(m.signature);
+  }
   Bytes signed_message() const;
 };
 

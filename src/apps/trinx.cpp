@@ -26,28 +26,6 @@ Bytes TrinxCertificate::signed_message() const {
   return w.take();
 }
 
-Bytes TrinxCertificate::serialize() const {
-  BinaryWriter w;
-  w.u32(counter_id);
-  w.u64(value);
-  w.fixed(message_hash);
-  w.fixed(signer);
-  w.fixed(signature);
-  return w.take();
-}
-
-Result<TrinxCertificate> TrinxCertificate::deserialize(ByteView bytes) {
-  BinaryReader r(bytes);
-  TrinxCertificate c;
-  c.counter_id = r.u32();
-  c.value = r.u64();
-  c.message_hash = r.fixed<32>();
-  c.signer = r.fixed<32>();
-  c.signature = r.fixed<64>();
-  if (!r.done()) return Status::kTampered;
-  return c;
-}
-
 bool TrinxCertificate::verify() const {
   return crypto::ed25519_verify(signer, signed_message(), signature);
 }

@@ -17,20 +17,27 @@
 
 #include "crypto/ed25519.h"
 #include "migration/migratable_enclave.h"
+#include "support/serde.h"
 
 namespace sgxmig::apps {
 
 /// A certificate binding `value` of TrInX counter `counter_id` to a
 /// message hash; values are strictly increasing per counter.
-struct TrinxCertificate {
+struct TrinxCertificate : Record<TrinxCertificate> {
   uint32_t counter_id = 0;
   uint64_t value = 0;
   std::array<uint8_t, 32> message_hash{};
   crypto::Ed25519PublicKey signer{};
   crypto::Ed25519Signature signature{};
 
-  Bytes serialize() const;
-  static Result<TrinxCertificate> deserialize(ByteView bytes);
+  template <class Io, class Self>
+  static void layout(Io& io, Self& c) {
+    io.u32(c.counter_id);
+    io.u64(c.value);
+    io.fixed(c.message_hash);
+    io.fixed(c.signer);
+    io.fixed(c.signature);
+  }
   Bytes signed_message() const;
   bool verify() const;
 };

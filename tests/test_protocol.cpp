@@ -10,6 +10,8 @@
 #include <optional>
 #include <set>
 
+#include "apps/teechan.h"
+#include "apps/trinx.h"
 #include "crypto/sha256.h"
 #include "migration/library_state.h"
 #include "migration/migratable_enclave.h"
@@ -733,6 +735,23 @@ std::vector<WireRow> wire_golden_table() {
   pse_response.uuid = sample_uuid();
   pse_response.value = 31;
   rows.push_back(record_row("PseResponse", pse_response));
+
+  // Application records.
+  apps::PaymentMessage payment;
+  payment.channel_id = 0x1234;
+  payment.sequence = 9;
+  payment.balance_a = 700;
+  payment.balance_b = 300;
+  payment.sender = pattern<32>(0xc0);
+  payment.signature = pattern<64>(0xc1);
+  rows.push_back(record_row("PaymentMessage", payment));
+  apps::TrinxCertificate certificate;
+  certificate.counter_id = 3;
+  certificate.value = 41;
+  certificate.message_hash = pattern<32>(0xc2);
+  certificate.signer = pattern<32>(0xc3);
+  certificate.signature = pattern<64>(0xc4);
+  rows.push_back(record_row("TrinxCertificate", certificate));
   return rows;
 }
 
@@ -789,6 +808,8 @@ TEST(WireGolden, EveryRecordEncoding) {
       {"VerificationReport", "c6a27a25c302d19fcab6ab64a2c7bf44753a92a8de7858de43d113135092d166"},
       {"PseRequest", "c0addbf17084a57882f0de6f0a43ec7e0fe5aa9c1e907aeb6d7a0c820718079c"},
       {"PseResponse", "cb7a77630ff0e5de9899200328bbc82c22afd435fd4ce0ef8d597c9f6aaad1b3"},
+      {"PaymentMessage", "fb17b60ebee8c49b3346e86a2070a4086baffd76038b4799fff45978f78210fe"},
+      {"TrinxCertificate", "4ce21f53eac1aa8cced8a7e86b68703ec6caa697f3e67bd8efc819cda9261821"},
   };
   std::set<std::string> seen;
   for (const WireRow& row : wire_golden_table()) {
