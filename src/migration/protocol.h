@@ -187,18 +187,21 @@ struct MigrateRequestPayload : Record<MigrateRequestPayload> {
   }
 };
 
-/// Payload of kStatusReport.
+/// Fate of an enclave's outgoing migration, as the ME reports it.
 enum class OutgoingState : uint8_t {
   kNone = 0,       // no outgoing migration known for this enclave
   kPending = 1,    // data transferred, waiting for destination confirm
   kCompleted = 2,  // destination confirmed; source data deleted
 };
 
+/// An OutgoingState on the wire: the status report and the ME queue's
+/// per-identity index.
 template <class Io, class State>
 void outgoing_state_field(Io& io, State& state) {
   io.enumeration(state, OutgoingState::kNone, OutgoingState::kCompleted);
 }
 
+/// Payload of kStatusReport.
 struct StatusReport : Record<StatusReport> {
   OutgoingState state = OutgoingState::kNone;
 

@@ -71,22 +71,17 @@ bool BinaryReader::boolean() { return u8() != 0; }
 
 Bytes BinaryReader::bytes(size_t max_len) {
   const uint32_t len = u32();
-  if (failed_ || len > max_len) {
+  if (failed_ || len > max_len || !take(len)) {
     failed_ = true;
     return {};
   }
-  return raw(len);
+  return Bytes(data_.begin() + static_cast<ptrdiff_t>(pos_ - len),
+               data_.begin() + static_cast<ptrdiff_t>(pos_));
 }
 
 std::string BinaryReader::str(size_t max_len) {
   Bytes b = bytes(max_len);
   return std::string(b.begin(), b.end());
-}
-
-Bytes BinaryReader::raw(size_t len) {
-  if (!take(len)) return {};
-  return Bytes(data_.begin() + static_cast<ptrdiff_t>(pos_ - len),
-               data_.begin() + static_cast<ptrdiff_t>(pos_));
 }
 
 }  // namespace sgxmig

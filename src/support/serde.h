@@ -136,8 +136,6 @@ class BinaryWriter {
  private:
   void write_int(uint8_t v) { u8(v); }
   void write_int(uint16_t v) { u16(v); }
-  void write_int(uint32_t v) { u32(v); }
-  void write_int(uint64_t v) { u64(v); }
 
   Bytes buffer_;
 };
@@ -158,8 +156,6 @@ class BinaryReader {
   /// driven by adversarial length fields.
   Bytes bytes(size_t max_len = kDefaultMaxLen);
   std::string str(size_t max_len = kDefaultMaxLen);
-  /// Raw bytes with no length prefix.
-  Bytes raw(size_t len);
 
   template <size_t N>
   std::array<uint8_t, N> fixed() {
@@ -276,8 +272,6 @@ class BinaryReader {
   bool take(size_t n);
   void read_int(uint8_t& v) { v = u8(); }
   void read_int(uint16_t& v) { v = u16(); }
-  void read_int(uint32_t& v) { v = u32(); }
-  void read_int(uint64_t& v) { v = u64(); }
 
   ByteView data_;
   size_t pos_ = 0;
