@@ -118,7 +118,8 @@ class BinaryWriter {
   }
   template <class M, class F>
   void map(const M& m, F each) {
-    map_if(m, [](const auto&) { return true; }, each);
+    u32(static_cast<uint32_t>(m.size()));
+    for (const auto& [key, value] : m) each(*this, key, value);
   }
   /// A u32 count, then each value's layout; the reader keys every value
   /// by its own `key` member.
